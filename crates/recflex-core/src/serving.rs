@@ -13,6 +13,7 @@
 use recflex_baselines::{Backend, BackendError};
 use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::TableSet;
+use recflex_serve::stats::percentile;
 use recflex_serve::{BatchPolicy, Request, ServeConfig, ServeError, ServeRuntime};
 use recflex_sim::GpuArch;
 
@@ -36,13 +37,7 @@ impl ServingStats {
 
     /// Latency percentile (`q` in `[0, 1]`), nearest-rank.
     pub fn percentile_us(&self, q: f64) -> f64 {
-        if self.request_latencies.is_empty() {
-            return 0.0;
-        }
-        let mut v = self.request_latencies.clone();
-        v.sort_by(f64::total_cmp);
-        let idx = ((v.len() as f64 * q).ceil() as usize).clamp(1, v.len()) - 1;
-        v[idx]
+        percentile(self.request_latencies.iter().copied(), q)
     }
 }
 

@@ -284,13 +284,14 @@ impl<'a> FleetRuntime<'a> {
             }
         }
 
+        let streams = self.demux(arrivals)?;
+
         // Install each member's fault plan for its pinned class.
         for (i, member) in self.members.iter_mut().enumerate() {
             let shards = member.runtime.placement.num_devices;
             member.runtime.resilience.plan = chaos.faults.member_plan(i, member.class, shards);
         }
 
-        let streams = self.demux(arrivals);
         let horizon_us = streams
             .iter()
             .flat_map(|s| s.iter().map(|r| r.arrival_us))
@@ -835,6 +836,27 @@ mod tests {
         );
         assert!(chaotic.chaos.is_none());
         Ok(())
+    }
+
+    #[test]
+    fn arrival_for_a_missing_member_is_a_policy_error_under_chaos() {
+        let model = ModelPreset::A.scaled(0.02);
+        let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
+        let mut merged = FleetWorkload {
+            scenarios: vec![scenario("a", 4, 1)],
+            seed: 42,
+        }
+        .merged(&[&model]);
+        merged[0].scenario = 3;
+        let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
+        let result = fleet.serve_chaos(&merged, &chaos_with_outage(true), |_, _| {
+            panic!("must not rebuild")
+        });
+        assert!(matches!(result, Err(ServeError::Policy(_))));
+        assert!(
+            fleet.members[0].runtime.resilience.plan.is_empty(),
+            "rejected input must not install fault plans"
+        );
     }
 
     #[test]

@@ -197,18 +197,21 @@ impl<'a> FleetRuntime<'a> {
     /// merged order, which is already per-scenario arrival order) and
     /// run every member on its slice.
     pub fn serve(&self, arrivals: &[FleetArrival]) -> Result<FleetReport, ServeError> {
-        self.serve_streams(&self.demux(arrivals))
+        self.serve_streams(&self.demux(arrivals)?)
     }
 
     /// Demux a merged fleet trace into per-member request streams
     /// (preserving the merged order, which is already per-scenario
-    /// arrival order).
-    pub(crate) fn demux(&self, arrivals: &[FleetArrival]) -> Vec<Vec<Request>> {
+    /// arrival order). An arrival naming no member is a policy error.
+    pub(crate) fn demux(&self, arrivals: &[FleetArrival]) -> Result<Vec<Vec<Request>>, ServeError> {
         let mut streams: Vec<Vec<Request>> = vec![Vec::new(); self.members.len()];
         for a in arrivals {
-            streams[a.scenario].push(a.request.clone());
+            streams
+                .get_mut(a.scenario)
+                .ok_or(ServeError::Policy("arrival scenario has no fleet member"))?
+                .push(a.request.clone());
         }
-        streams
+        Ok(streams)
     }
 
     /// Serve pre-demuxed per-member request streams. `streams[i]` goes
@@ -216,7 +219,11 @@ impl<'a> FleetRuntime<'a> {
     /// as [`ShedReason::Admission`] records in the member report, so
     /// every offered request has a record.
     pub fn serve_streams(&self, streams: &[Vec<Request>]) -> Result<FleetReport, ServeError> {
-        assert_eq!(streams.len(), self.members.len());
+        if streams.len() != self.members.len() {
+            return Err(ServeError::Policy(
+                "fleet needs one request stream per member",
+            ));
+        }
         let mut models = Vec::with_capacity(self.members.len());
         let mut attained_total = 0u64;
         let mut offered_total = 0u64;
@@ -360,7 +367,7 @@ mod tests {
     use crate::workload::{FleetWorkload, ScenarioSpec, TrafficShape};
     use crate::WorkloadSpec;
     use recflex_baselines::TorchRecBackend;
-    use recflex_data::{ModelPreset, Placement};
+    use recflex_data::{ModelConfig, ModelPreset, Placement};
     use recflex_sim::Interconnect;
 
     fn config() -> ServeConfig {
@@ -441,6 +448,65 @@ mod tests {
         // Replay the whole fleet report too.
         let again = fleet.serve(&merged).expect("fleet replay");
         assert_eq!(fleet_report, again, "fleet replay must be bit-identical");
+    }
+
+    fn one_member_fleet<'a>(model: &'a ModelConfig, arch: &'a GpuArch) -> FleetRuntime<'a> {
+        FleetRuntime {
+            classes: vec![DeviceClass {
+                name: "V100".into(),
+                arch,
+                devices: 1,
+            }],
+            members: vec![FleetMember {
+                name: "a".into(),
+                class: 0,
+                runtime: ShardedServeRuntime::build(
+                    model,
+                    arch,
+                    Placement::balance(model, 1),
+                    config(),
+                    Interconnect::nvlink(),
+                    |m| Box::new(TorchRecBackend::compile(m)),
+                ),
+                slo_deadline_us: None,
+                gate: None,
+                tuning: None,
+            }],
+        }
+    }
+
+    #[test]
+    fn arrival_for_a_missing_member_is_a_policy_error() {
+        let model = ModelPreset::A.scaled(0.02);
+        let arch = GpuArch::v100();
+        let fleet = one_member_fleet(&model, &arch);
+        let mut merged = FleetWorkload {
+            scenarios: vec![ScenarioSpec {
+                name: "a".into(),
+                workload: WorkloadSpec::long_tail(400.0),
+                shape: TrafficShape::flat(),
+                requests: 4,
+                priority: 1,
+            }],
+            seed: 42,
+        }
+        .merged(&[&model]);
+        merged[2].scenario = 1;
+        assert!(matches!(fleet.serve(&merged), Err(ServeError::Policy(_))));
+    }
+
+    #[test]
+    fn stream_count_mismatch_is_a_policy_error() {
+        let model = ModelPreset::A.scaled(0.02);
+        let arch = GpuArch::v100();
+        let fleet = one_member_fleet(&model, &arch);
+        let stream = WorkloadSpec::long_tail(400.0).stream(&model, 4, 42);
+        for streams in [vec![], vec![stream.clone(), stream]] {
+            assert!(matches!(
+                fleet.serve_streams(&streams),
+                Err(ServeError::Policy(_))
+            ));
+        }
     }
 
     #[test]

@@ -75,6 +75,7 @@
 //! every test here leans on. An empty fault plan takes the exact same
 //! arithmetic path as a runtime without fault injection at all.
 
+mod admission;
 pub mod drift;
 pub mod elastic;
 pub mod executor;

@@ -44,7 +44,7 @@ use crate::faults::{PressureSignal, PressureTracker};
 use crate::request::Request;
 use crate::runtime::ServeError;
 use crate::sharded::ShardedServeRuntime;
-use crate::stats::{ShardedReport, ShedReason};
+use crate::stats::{percentile, ShardedReport, ShedReason};
 use recflex_data::{Batch, BreakerStateStat, PipelineReport, StageStats};
 
 /// Attempt waves per stage the runtime will serve before forcing an
@@ -527,18 +527,8 @@ impl PipelineOutcome {
 
     /// Nearest-rank latency percentile over answered requests, µs.
     pub fn percentile_us(&self, q: f64) -> f64 {
-        let mut lat: Vec<f64> = self
-            .records
-            .iter()
-            .filter(|r| !r.shed)
-            .map(PipelineRecord::latency_us)
-            .collect();
-        if lat.is_empty() {
-            return 0.0;
-        }
-        lat.sort_by(f64::total_cmp);
-        let rank = ((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-        lat[rank - 1]
+        let answered = self.records.iter().filter(|r| !r.shed);
+        percentile(answered.map(PipelineRecord::latency_us), q)
     }
 
     /// Distill into the plain [`PipelineReport`] the benches serialize.

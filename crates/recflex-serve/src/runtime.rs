@@ -24,11 +24,11 @@ use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::TableSet;
 use recflex_sim::GpuArch;
 
-use crate::drift::{DriftConfig, DriftMonitor};
+use crate::admission::{candidate_engine, sheds_at_admission, Batcher, ChunkSink, DriftWindow};
+use crate::drift::DriftConfig;
 use crate::executor::DeviceExecutor;
 use crate::lifecycle::{
-    CanaryVerdict, EngineTuning, LifecycleConfig, LifecycleMachine, RegressedBackend,
-    RetuneOutcome, TimerAction,
+    CanaryVerdict, EngineTuning, LifecycleConfig, LifecycleMachine, TimerAction,
 };
 use crate::request::Request;
 use crate::stats::{RequestRecord, ServeReport, ShedReason};
@@ -112,7 +112,7 @@ impl Default for ServeConfig {
 
 /// Drift-triggered background retuning.
 ///
-/// When the [`DriftMonitor`] fires, `retuner` is handed the most recent
+/// When the [`DriftMonitor`](crate::DriftMonitor) fires, `retuner` is handed the most recent
 /// window of admitted batches and must produce a freshly tuned backend.
 /// The retune costs `retune_latency_us` of simulated wall time — the old
 /// engine keeps serving meanwhile. What happens when it completes is
@@ -267,32 +267,11 @@ impl ServeRuntime<'_> {
         mut retune: Option<&mut RetunePolicy<'_>>,
         deadlines: Option<&[f64]>,
     ) -> Result<ServeReport, ServeError> {
-        match self.config.policy {
-            BatchPolicy::Split { cap: 0 } => {
-                return Err(ServeError::Policy("split cap must be at least 1"))
-            }
-            BatchPolicy::Dynamic {
-                max_batch,
-                max_wait_us,
-            }
-            | BatchPolicy::DynamicPacked {
-                max_batch,
-                max_wait_us,
-            } => {
-                if max_batch == 0 {
-                    return Err(ServeError::Policy("dynamic max_batch must be at least 1"));
-                }
-                if !max_wait_us.is_finite() || max_wait_us < 0.0 {
-                    return Err(ServeError::Policy(
-                        "dynamic max_wait_us must be finite and >= 0",
-                    ));
-                }
-            }
-            _ => {}
-        }
-
+        let mut batcher = Batcher::new(self.config.policy)?;
         let n = requests.len();
         let mut st = RunState {
+            rt: self,
+            requests,
             executor: DeviceExecutor::new(self.config.streams),
             records: vec![None; n],
             remaining_chunks: vec![0u32; n],
@@ -302,14 +281,10 @@ impl ServeRuntime<'_> {
             chunk_owners: HashMap::new(),
             next_job: 0,
             launches: 0,
-            buffer: Vec::new(),
-            buffer_size: 0,
-            buffer_oldest_us: f64::INFINITY,
             active: Active::Borrowed(self.backend),
-            monitor: retune
+            drift: retune
                 .as_ref()
-                .map(|r| DriftMonitor::for_model(r.drift, self.model)),
-            recent: Vec::new(),
+                .map(|r| DriftWindow::new(r.drift, self.model)),
             machine: retune
                 .as_ref()
                 .map(|r| LifecycleMachine::new(r.lifecycle.clone(), r.retune_latency_us, 1, 0.0)),
@@ -340,7 +315,7 @@ impl ServeRuntime<'_> {
             let arrival_t = if cursor < n {
                 if self.config.closed_loop {
                     // Admit only when the previous request fully drained.
-                    (st.executor.is_idle() && st.buffer.is_empty()).then_some(now)
+                    (st.executor.is_idle() && batcher.is_empty()).then_some(now)
                 } else {
                     Some(requests[cursor].arrival_us.max(now))
                 }
@@ -348,16 +323,7 @@ impl ServeRuntime<'_> {
                 None
             };
             consider(arrival_t, EventKind::Arrival);
-            let flush_t = match self.config.policy {
-                BatchPolicy::Dynamic { max_wait_us, .. }
-                | BatchPolicy::DynamicPacked { max_wait_us, .. }
-                    if !st.buffer.is_empty() =>
-                {
-                    Some((st.buffer_oldest_us + max_wait_us).max(now))
-                }
-                _ => None,
-            };
-            consider(flush_t, EventKind::Flush);
+            consider(batcher.flush_due_us(now), EventKind::Flush);
 
             let Some((t, kind)) = next else { break };
             now = t;
@@ -366,24 +332,8 @@ impl ServeRuntime<'_> {
                 EventKind::Completion => {
                     st.executor.advance_to(now);
                     st.note_starts();
-                    let done = st.executor.drain_completed();
-                    for (t_done, job) in done {
-                        let owners = st
-                            .chunk_owners
-                            .remove(&job)
-                            .ok_or(ServeError::Internal("completion for unknown chunk"))?;
-                        for ri in owners {
-                            st.remaining_chunks[ri] -= 1;
-                            st.last_done_us[ri] = st.last_done_us[ri].max(t_done);
-                            if st.remaining_chunks[ri] == 0 {
-                                st.finalize(ri, requests);
-                            }
-                        }
-                    }
-                    // Work-conserving: an idle device drains the batcher.
-                    if st.executor.is_idle() && !st.buffer.is_empty() {
-                        st.flush_buffer(now, self, requests)?;
-                    }
+                    st.collect_completions()?;
+                    batcher.flush_if_idle(now, &mut st)?;
                 }
                 EventKind::Lifecycle => {
                     let action = match st.machine.as_mut() {
@@ -406,11 +356,14 @@ impl ServeRuntime<'_> {
                     }
                 }
                 EventKind::Arrival => {
-                    st.admit(cursor, now, self, requests, &mut retune, deadlines)?;
+                    if st.admit(cursor, now, &mut retune, deadlines) {
+                        let arrival_us = st.arrival_eff_us[cursor];
+                        batcher.shape(cursor, &requests[cursor].batch, arrival_us, now, &mut st)?;
+                    }
                     cursor += 1;
                 }
                 EventKind::Flush => {
-                    st.flush_buffer(now, self, requests)?;
+                    batcher.flush(now, &mut st)?;
                 }
             }
         }
@@ -432,8 +385,11 @@ impl ServeRuntime<'_> {
 }
 
 /// Mutable state of one run, split out so admission/flush helpers can
-/// borrow it whole while the runtime stays shared.
+/// borrow it whole while the runtime stays shared. It is also the sink the
+/// run's [`Batcher`] launches chunks into.
 struct RunState<'a> {
+    rt: &'a ServeRuntime<'a>,
+    requests: &'a [Request],
     executor: DeviceExecutor,
     records: Vec<Option<RequestRecord>>,
     remaining_chunks: Vec<u32>,
@@ -443,16 +399,9 @@ struct RunState<'a> {
     chunk_owners: HashMap<u64, Vec<usize>>,
     next_job: u64,
     launches: u64,
-    /// Requests waiting in the dynamic batcher: owner index plus the
-    /// samples it has parked there (the whole batch under `Dynamic`, a
-    /// boundary-split head or tail under `DynamicPacked`).
-    buffer: Vec<(usize, Batch)>,
-    buffer_size: u32,
-    buffer_oldest_us: f64,
     active: Active<'a>,
-    monitor: Option<DriftMonitor>,
-    /// Most recent admitted batches (drift window), oldest first.
-    recent: Vec<Batch>,
+    /// The drift trigger (present iff retuning is on).
+    drift: Option<DriftWindow>,
     /// The lifecycle state machine (present iff retuning is on). Owns
     /// the timers: an in-flight retune, a backoff, a staged promotion.
     machine: Option<LifecycleMachine>,
@@ -463,187 +412,137 @@ struct RunState<'a> {
 }
 
 impl RunState<'_> {
+    /// SLO admission and drift monitoring for request `ri`. Returns
+    /// whether it was admitted; a shed request is recorded here.
     fn admit(
         &mut self,
         ri: usize,
         now: f64,
-        rt: &ServeRuntime<'_>,
-        requests: &[Request],
         retune: &mut Option<&mut RetunePolicy<'_>>,
         deadlines: Option<&[f64]>,
-    ) -> Result<(), ServeError> {
-        let req = &requests[ri];
-        self.arrival_eff_us[ri] = if rt.config.closed_loop {
+    ) -> bool {
+        let (rt, req) = (self.rt, &self.requests[ri]);
+        let arrival_us = if rt.config.closed_loop {
             now
         } else {
             req.arrival_us
         };
+        self.arrival_eff_us[ri] = arrival_us;
 
-        // SLO admission: if the device already owes more work than the
-        // deadline, this request cannot finish in time — shed it now
-        // rather than poison the queue for everyone behind it. A
-        // per-request absolute deadline (the pipeline's remaining
-        // budget share) overrides the uniform config gate.
-        let admission_window = match deadlines {
-            Some(d) => Some(d[ri] - self.arrival_eff_us[ri]),
-            None => rt.config.slo_deadline_us,
-        };
-        if let Some(deadline) = admission_window {
-            if deadline < 0.0 || self.executor.backlog_us() > deadline {
-                self.records[ri] = Some(RequestRecord {
-                    id: req.id,
-                    batch_size: req.batch.batch_size,
-                    arrival_us: self.arrival_eff_us[ri],
-                    queue_us: 0.0,
-                    service_us: 0.0,
-                    done_us: self.arrival_eff_us[ri],
-                    shed: ShedReason::Admission,
-                });
-                return Ok(());
-            }
+        // If the device already owes more work than the deadline, this
+        // request cannot finish in time — shed it now rather than poison
+        // the queue for everyone behind it.
+        if sheds_at_admission(&rt.config, deadlines, ri, arrival_us, || {
+            self.executor.backlog_us()
+        }) {
+            self.records[ri] = Some(RequestRecord {
+                id: req.id,
+                batch_size: req.batch.batch_size,
+                arrival_us,
+                queue_us: 0.0,
+                service_us: 0.0,
+                done_us: arrival_us,
+                shed: ShedReason::Admission,
+            });
+            return false;
         }
 
         // Drift monitoring sees every admitted batch.
         if let Some(policy) = retune.as_deref_mut() {
-            self.recent.push(req.batch.clone());
-            let window = policy.drift.window.max(1);
-            if self.recent.len() > window {
-                self.recent.drain(..self.recent.len() - window);
-            }
-            let drifted = self
-                .monitor
+            let machine = self.machine.as_mut();
+            if self
+                .drift
                 .as_mut()
-                .map(|m| m.observe(&req.batch))
-                .unwrap_or(false);
-            // The machine absorbs fires while an attempt, canary,
-            // backoff or cooldown is active — drift re-firing every
-            // window cannot launch overlapping retunes.
-            let wants = drifted
-                && self
-                    .machine
-                    .as_mut()
-                    .is_some_and(|m| m.wants_drift_retune(now));
-            if wants {
+                .is_some_and(|d| d.observe(&req.batch, now, machine))
+            {
                 self.launch_attempt(now, policy);
             }
         }
+        true
+    }
 
-        match rt.config.policy {
-            BatchPolicy::Unsplit => {
-                self.submit_chunk(req.batch.clone(), vec![ri], now, rt, requests)?;
-            }
-            BatchPolicy::Split { cap } => {
-                let chunks = req
-                    .batch
-                    .split(cap)
-                    .map_err(|_| ServeError::Policy("split cap must be at least 1"))?;
-                if chunks.is_empty() {
-                    self.finalize_empty(ri, now, requests);
-                } else {
-                    for chunk in chunks {
-                        self.submit_chunk(chunk, vec![ri], now, rt, requests)?;
-                    }
-                }
-            }
-            BatchPolicy::Dynamic { max_batch, .. } => {
-                if req.batch.batch_size == 0 {
-                    self.finalize_empty(ri, now, requests);
-                } else if req.batch.batch_size >= max_batch {
-                    // Oversized: flush waiting small requests first so
-                    // device order stays FIFO, then split the big one.
-                    self.flush_buffer(now, rt, requests)?;
-                    let chunks = req
-                        .batch
-                        .split(max_batch)
-                        .map_err(|_| ServeError::Policy("dynamic max_batch must be at least 1"))?;
-                    for chunk in chunks {
-                        self.submit_chunk(chunk, vec![ri], now, rt, requests)?;
-                    }
-                } else {
-                    if self.buffer_size + req.batch.batch_size > max_batch {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
-                    self.buffer.push((ri, req.batch.clone()));
-                    self.buffer_size += req.batch.batch_size;
-                    self.buffer_oldest_us = self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                    if self.buffer_size == max_batch || self.executor.is_idle() {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
-                }
-            }
-            BatchPolicy::DynamicPacked { max_batch, .. } => {
-                if req.batch.batch_size == 0 {
-                    self.finalize_empty(ri, now, requests);
-                } else {
-                    // Padding-free coalescing: top the open batch off to
-                    // exactly `max_batch`, rolling the remainder of a
-                    // boundary-straddling request into the next batch.
-                    // The invariant `buffer_size < max_batch` holds on
-                    // entry and exit, so `room >= 1` always.
-                    let mut part = req.batch.clone();
-                    loop {
-                        let room = max_batch - self.buffer_size;
-                        if part.batch_size < room {
-                            self.buffer_size += part.batch_size;
-                            self.buffer.push((ri, part));
-                            self.buffer_oldest_us =
-                                self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                            break;
-                        }
-                        let mut pieces = part
-                            .split(room)
-                            .map_err(|_| {
-                                ServeError::Policy("dynamic max_batch must be at least 1")
-                            })?
-                            .into_iter();
-                        let head = pieces.next().ok_or(ServeError::Internal(
-                            "split of a non-empty batch yielded nothing",
-                        ))?;
-                        self.buffer.push((ri, head));
-                        self.buffer_size = max_batch;
-                        self.buffer_oldest_us = self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                        self.flush_buffer(now, rt, requests)?;
-                        let rest: Vec<Batch> = pieces.collect();
-                        if rest.is_empty() {
-                            break;
-                        }
-                        part = Batch::merge(&rest);
-                    }
-                    if !self.buffer.is_empty() && self.executor.is_idle() {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
+    /// Retire every drained chunk completion, finalizing requests whose
+    /// last chunk it was.
+    fn collect_completions(&mut self) -> Result<(), ServeError> {
+        for (t_done, job) in self.executor.drain_completed() {
+            let owners = self
+                .chunk_owners
+                .remove(&job)
+                .ok_or(ServeError::Internal("completion for unknown chunk"))?;
+            for ri in owners {
+                self.remaining_chunks[ri] -= 1;
+                self.last_done_us[ri] = self.last_done_us[ri].max(t_done);
+                if self.remaining_chunks[ri] == 0 {
+                    self.finalize(ri);
                 }
             }
         }
         Ok(())
     }
 
-    fn flush_buffer(
-        &mut self,
-        now: f64,
-        rt: &ServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
-        if self.buffer.is_empty() {
-            return Ok(());
-        }
-        let entries = std::mem::take(&mut self.buffer);
-        self.buffer_size = 0;
-        self.buffer_oldest_us = f64::INFINITY;
-        let owners: Vec<usize> = entries.iter().map(|&(ri, _)| ri).collect();
-        let parts: Vec<Batch> = entries.into_iter().map(|(_, b)| b).collect();
-        let merged = Batch::merge(&parts);
-        self.submit_chunk(merged, owners, now, rt, requests)
+    /// Launch a retune attempt: draw its injected outcome, build the
+    /// candidate when the tuner "returns" one (wrapping regressions so
+    /// they really serve slower), and start the lifecycle timers.
+    fn launch_attempt(&mut self, now: f64, policy: &mut RetunePolicy<'_>) {
+        let Some(machine) = self.machine.as_mut() else {
+            return;
+        };
+        let outcome = machine.begin_attempt(now);
+        let recent = self
+            .drift
+            .as_mut()
+            .map_or(&[][..], DriftWindow::begin_attempt);
+        self.candidate = candidate_engine(outcome, machine, || (policy.retuner)(recent));
     }
 
-    fn submit_chunk(
-        &mut self,
-        batch: Batch,
-        owners: Vec<usize>,
-        now: f64,
-        rt: &ServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
+    /// Promote the candidate: it becomes the active engine and the drift
+    /// monitor rebases onto the traffic it was tuned for.
+    fn install_candidate(&mut self) -> Result<(), ServeError> {
+        let backend = self
+            .candidate
+            .take()
+            .ok_or(ServeError::Internal("promotion without a candidate engine"))?;
+        self.active = Active::Owned(backend);
+        self.retunes += 1;
+        if let Some(drift) = self.drift.as_mut() {
+            drift.rebase_on_recent();
+        }
+        Ok(())
+    }
+
+    /// Fold freshly drained kernel-start events into per-request first
+    /// start times, so `queue_us` covers batching delay *and* stream
+    /// queueing.
+    fn note_starts(&mut self) {
+        for (t_start, job) in self.executor.drain_started() {
+            if let Some(owners) = self.chunk_owners.get(&job) {
+                for &ri in owners {
+                    self.first_start_us[ri] = self.first_start_us[ri].min(t_start);
+                }
+            }
+        }
+    }
+
+    fn finalize(&mut self, ri: usize) {
+        let req = &self.requests[ri];
+        let arrival = self.arrival_eff_us[ri];
+        let first = self.first_start_us[ri];
+        let done = self.last_done_us[ri];
+        self.records[ri] = Some(RequestRecord {
+            id: req.id,
+            batch_size: req.batch.batch_size,
+            arrival_us: arrival,
+            queue_us: first - arrival,
+            service_us: done - first,
+            done_us: done,
+            shed: ShedReason::None,
+        });
+    }
+}
+
+impl ChunkSink for RunState<'_> {
+    fn submit(&mut self, batch: Batch, owners: Vec<usize>, now: f64) -> Result<(), ServeError> {
+        let rt = self.rt;
         let run = self
             .active
             .get()
@@ -706,106 +605,16 @@ impl RunState<'_> {
         // Zero-cost chunks retire inside `submit`; collect them here so
         // their owners don't wait for a completion event that may never
         // have a distinct timestamp.
-        let done = self.executor.drain_completed();
-        for (t_done, job) in done {
-            let owners = self
-                .chunk_owners
-                .remove(&job)
-                .ok_or(ServeError::Internal("completion for unknown chunk"))?;
-            for ri in owners {
-                self.remaining_chunks[ri] -= 1;
-                self.last_done_us[ri] = self.last_done_us[ri].max(t_done);
-                if self.remaining_chunks[ri] == 0 {
-                    self.finalize(ri, requests);
-                }
-            }
-        }
-        Ok(())
+        self.collect_completions()
     }
 
-    /// Launch a retune attempt: draw its injected outcome, build the
-    /// candidate when the tuner "returns" one (wrapping regressions so
-    /// they really serve slower), and start the lifecycle timers.
-    fn launch_attempt(&mut self, now: f64, policy: &mut RetunePolicy<'_>) {
-        let outcome = match self.machine.as_mut() {
-            Some(m) => m.begin_attempt(now),
-            None => return,
-        };
-        // A fresh observation window: the verdict that follows should
-        // reflect traffic seen after this attempt launched.
-        if let Some(mon) = self.monitor.as_mut() {
-            mon.reset_window();
-        }
-        self.candidate = match outcome {
-            RetuneOutcome::Success | RetuneOutcome::Regression { .. } => {
-                let tuned = (policy.retuner)(&self.recent);
-                if let (Some(t), Some(m)) = (tuned.tuning, self.machine.as_mut()) {
-                    m.record_tuning(t);
-                }
-                Some(match outcome {
-                    RetuneOutcome::Regression { slowdown } => {
-                        Box::new(RegressedBackend::new(tuned.backend, slowdown))
-                    }
-                    _ => tuned.backend,
-                })
-            }
-            RetuneOutcome::CompileFail | RetuneOutcome::Stall => None,
-        };
+    fn idle(&self) -> bool {
+        self.executor.is_idle()
     }
 
-    /// Promote the candidate: it becomes the active engine and the drift
-    /// monitor rebases onto the traffic it was tuned for.
-    fn install_candidate(&mut self) -> Result<(), ServeError> {
-        let backend = self
-            .candidate
-            .take()
-            .ok_or(ServeError::Internal("promotion without a candidate engine"))?;
-        self.active = Active::Owned(backend);
-        self.retunes += 1;
-        if let Some(mon) = self.monitor.as_mut() {
-            // The new engine is tuned on recent traffic; its reference
-            // is what that traffic actually looked like.
-            let (lk, sm) = self.recent.iter().fold((0.0, 0.0), |(l, s), b| {
-                (l + b.total_lookups() as f64, s + b.batch_size as f64)
-            });
-            if sm > 0.0 {
-                mon.rebase(lk / sm);
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold freshly drained kernel-start events into per-request first
-    /// start times, so `queue_us` covers batching delay *and* stream
-    /// queueing.
-    fn note_starts(&mut self) {
-        for (t_start, job) in self.executor.drain_started() {
-            if let Some(owners) = self.chunk_owners.get(&job) {
-                for &ri in owners {
-                    self.first_start_us[ri] = self.first_start_us[ri].min(t_start);
-                }
-            }
-        }
-    }
-
-    fn finalize(&mut self, ri: usize, requests: &[Request]) {
-        let arrival = self.arrival_eff_us[ri];
-        let first = self.first_start_us[ri];
-        let done = self.last_done_us[ri];
+    fn finalize_empty(&mut self, ri: usize, now: f64) {
         self.records[ri] = Some(RequestRecord {
-            id: requests[ri].id,
-            batch_size: requests[ri].batch.batch_size,
-            arrival_us: arrival,
-            queue_us: first - arrival,
-            service_us: done - first,
-            done_us: done,
-            shed: ShedReason::None,
-        });
-    }
-
-    fn finalize_empty(&mut self, ri: usize, now: f64, requests: &[Request]) {
-        self.records[ri] = Some(RequestRecord {
-            id: requests[ri].id,
+            id: self.requests[ri].id,
             batch_size: 0,
             arrival_us: self.arrival_eff_us[ri],
             queue_us: 0.0,

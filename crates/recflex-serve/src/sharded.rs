@@ -21,7 +21,10 @@
 //!
 //! Batch shaping (unsplit / split / dynamic coalescing) happens *before*
 //! the fan-out, on whole requests: all shards always see the same sample
-//! axis for a chunk, which is what keeps the all-gather well-defined.
+//! axis for a chunk, which is what keeps the all-gather well-defined. The
+//! shaping, SLO admission and drift trigger are the request front end in
+//! the crate's `admission` module, shared with the single-device runtime;
+//! this module only re-splits shaped chunks at `hot_shard_cap`.
 //!
 //! ## Faults and the degradation ladder
 //!
@@ -62,14 +65,13 @@ use recflex_data::{Batch, ModelConfig, Placement};
 use recflex_embedding::TableSet;
 use recflex_sim::{GpuArch, Interconnect};
 
-use crate::drift::{DriftConfig, DriftMonitor};
+use crate::admission::{candidate_engine, sheds_at_admission, Batcher, ChunkSink, DriftWindow};
+use crate::drift::DriftConfig;
 use crate::executor::DeviceExecutor;
 use crate::faults::{PressureTracker, ResilienceConfig};
-use crate::lifecycle::{
-    CanaryVerdict, LifecycleConfig, LifecycleMachine, RegressedBackend, RetuneOutcome, TimerAction,
-};
+use crate::lifecycle::{CanaryVerdict, LifecycleConfig, LifecycleMachine, TimerAction};
 use crate::request::Request;
-use crate::runtime::{BatchPolicy, ServeConfig, ServeError, TunedCandidate};
+use crate::runtime::{ServeConfig, ServeError, TunedCandidate};
 use crate::stats::{
     RequestRecord, ShardLaneStats, ShardedReport, ShardedRequestRecord, ShedReason,
 };
@@ -242,29 +244,7 @@ impl<'a> ShardedServeRuntime<'a> {
         mut retune: Option<&mut ShardedRetunePolicy<'_>>,
         deadlines: Option<&[f64]>,
     ) -> Result<ShardedReport, ServeError> {
-        match self.config.policy {
-            BatchPolicy::Split { cap: 0 } => {
-                return Err(ServeError::Policy("split cap must be at least 1"))
-            }
-            BatchPolicy::Dynamic {
-                max_batch,
-                max_wait_us,
-            }
-            | BatchPolicy::DynamicPacked {
-                max_batch,
-                max_wait_us,
-            } => {
-                if max_batch == 0 {
-                    return Err(ServeError::Policy("dynamic max_batch must be at least 1"));
-                }
-                if !max_wait_us.is_finite() || max_wait_us < 0.0 {
-                    return Err(ServeError::Policy(
-                        "dynamic max_wait_us must be finite and >= 0",
-                    ));
-                }
-            }
-            _ => {}
-        }
+        let mut batcher = Batcher::new(self.config.policy)?;
         if self.config.hot_shard_cap == Some(0) {
             return Err(ServeError::Policy("hot_shard_cap must be at least 1"));
         }
@@ -276,6 +256,8 @@ impl<'a> ShardedServeRuntime<'a> {
             replica_lane_of[s] = Some(num_shards + pos);
         }
         let mut st = ShardedRunState {
+            rt: self,
+            requests,
             executors: (0..num_shards + self.replicas.len())
                 .map(|_| DeviceExecutor::new(self.config.streams))
                 .collect(),
@@ -301,13 +283,9 @@ impl<'a> ShardedServeRuntime<'a> {
             hedge_fires: 0,
             hedge_wins: 0,
             failovers: 0,
-            buffer: Vec::new(),
-            buffer_size: 0,
-            buffer_oldest_us: f64::INFINITY,
-            monitor: retune
+            drift: retune
                 .as_ref()
-                .map(|r| DriftMonitor::for_model(r.drift, self.model)),
-            recent: Vec::new(),
+                .map(|r| DriftWindow::new(r.drift, self.model)),
             machine: retune.as_ref().map(|r| {
                 LifecycleMachine::new(
                     r.lifecycle.clone(),
@@ -364,7 +342,7 @@ impl<'a> ShardedServeRuntime<'a> {
             // timestamp.
             let live = cursor < n
                 || !st.all_idle()
-                || !st.buffer.is_empty()
+                || !batcher.is_empty()
                 || !st.pending_gathers.is_empty();
             if live && fault_cursor < transitions.len() {
                 consider(Some(transitions[fault_cursor].max(now)), EventKind::Fault);
@@ -379,7 +357,7 @@ impl<'a> ShardedServeRuntime<'a> {
                 if self.config.closed_loop {
                     // Admit only when the previous request fully drained,
                     // gathers included.
-                    (st.all_idle() && st.buffer.is_empty() && st.pending_gathers.is_empty())
+                    (st.all_idle() && batcher.is_empty() && st.pending_gathers.is_empty())
                         .then_some(now)
                 } else {
                     Some(requests[cursor].arrival_us.max(now))
@@ -388,16 +366,7 @@ impl<'a> ShardedServeRuntime<'a> {
                 None
             };
             consider(arrival_t, EventKind::Arrival);
-            let flush_t = match self.config.policy {
-                BatchPolicy::Dynamic { max_wait_us, .. }
-                | BatchPolicy::DynamicPacked { max_wait_us, .. }
-                    if !st.buffer.is_empty() =>
-                {
-                    Some((st.buffer_oldest_us + max_wait_us).max(now))
-                }
-                _ => None,
-            };
-            consider(flush_t, EventKind::Flush);
+            consider(batcher.flush_due_us(now), EventKind::Flush);
 
             let Some((t, kind)) = next else { break };
             now = t;
@@ -407,14 +376,11 @@ impl<'a> ShardedServeRuntime<'a> {
                     for ex in &mut st.executors {
                         ex.advance_to(now);
                     }
-                    st.collect_completions(self, requests)?;
-                    // Work-conserving: idle devices drain the batcher.
-                    if st.all_idle() && !st.buffer.is_empty() {
-                        st.flush_buffer(now, self, requests)?;
-                    }
+                    st.collect_completions()?;
+                    batcher.flush_if_idle(now, &mut st)?;
                 }
                 EventKind::Gather => {
-                    st.retire_gathers(now, requests)?;
+                    st.retire_gathers(now)?;
                 }
                 EventKind::Lifecycle => {
                     let action = match st.machine.as_mut() {
@@ -429,7 +395,7 @@ impl<'a> ShardedServeRuntime<'a> {
                         }
                         TimerAction::Retry => {
                             if let Some(policy) = retune.as_deref_mut() {
-                                st.launch_attempt(now, self, policy);
+                                st.launch_attempt(now, policy);
                             }
                         }
                         TimerAction::BeginCanary | TimerAction::Noop => {}
@@ -439,17 +405,20 @@ impl<'a> ShardedServeRuntime<'a> {
                     while fault_cursor < transitions.len() && transitions[fault_cursor] <= now {
                         fault_cursor += 1;
                     }
-                    st.apply_fault_transitions(now, self, requests)?;
+                    st.apply_fault_transitions(now)?;
                 }
                 EventKind::Hedge => {
-                    st.fire_deadlines(now, self, requests)?;
+                    st.fire_deadlines(now)?;
                 }
                 EventKind::Arrival => {
-                    st.admit(cursor, now, self, requests, &mut retune, deadlines)?;
+                    if st.admit(cursor, now, &mut retune, deadlines) {
+                        let arrival_us = st.arrival_eff_us[cursor];
+                        batcher.shape(cursor, &requests[cursor].batch, arrival_us, now, &mut st)?;
+                    }
                     cursor += 1;
                 }
                 EventKind::Flush => {
-                    st.flush_buffer(now, self, requests)?;
+                    batcher.flush(now, &mut st)?;
                 }
             }
         }
@@ -557,7 +526,9 @@ struct ChunkState {
     degraded: bool,
 }
 
-struct ShardedRunState {
+struct ShardedRunState<'a> {
+    rt: &'a ShardedServeRuntime<'a>,
+    requests: &'a [Request],
     /// Primary lanes `0..num_shards`, then replica lanes.
     executors: Vec<DeviceExecutor>,
     lane_stats: Vec<ShardLaneStats>,
@@ -589,16 +560,8 @@ struct ShardedRunState {
     hedge_fires: u64,
     hedge_wins: u64,
     failovers: u64,
-    /// Requests waiting in the dynamic batcher: owner index plus the
-    /// samples it has parked there (the whole batch under `Dynamic`, a
-    /// boundary-split head or tail under `DynamicPacked`).
-    buffer: Vec<(usize, Batch)>,
-    buffer_size: u32,
-    buffer_oldest_us: f64,
-    /// Drift monitor over full admitted batches (retuning only).
-    monitor: Option<DriftMonitor>,
-    /// Most recent admitted batches (drift window), oldest first.
-    recent: Vec<Batch>,
+    /// The drift trigger over full admitted batches (retuning only).
+    drift: Option<DriftWindow>,
     /// The lifecycle state machine (present iff retuning is on).
     machine: Option<LifecycleMachine>,
     /// Per-shard candidate engines from the current attempt, awaiting
@@ -611,7 +574,7 @@ struct ShardedRunState {
     pressure: PressureTracker,
 }
 
-impl ShardedRunState {
+impl ShardedRunState<'_> {
     fn num_shards(&self) -> usize {
         self.lane_stats.len()
     }
@@ -629,8 +592,8 @@ impl ShardedRunState {
     /// it. At the healthy rate of 1 the division is an exact IEEE
     /// identity, so the fault-free path is bit-for-bit the old
     /// raw-backlog admission test.
-    fn max_effective_backlog_us(&self, rt: &ShardedServeRuntime<'_>, _now: f64) -> f64 {
-        let mitigated = rt.resilience.ladder.is_some();
+    fn max_effective_backlog_us(&self, _now: f64) -> f64 {
+        let mitigated = self.rt.resilience.ladder.is_some();
         let mut worst = 0.0f64;
         for ex in &self.executors[..self.num_shards()] {
             let backlog = ex.backlog_us();
@@ -653,69 +616,48 @@ impl ShardedRunState {
         worst
     }
 
-    fn ladder_level(&mut self, rt: &ShardedServeRuntime<'_>, now: f64) -> u8 {
-        let Some(ladder) = rt.resilience.ladder else {
+    fn ladder_level(&mut self, now: f64) -> u8 {
+        let Some(ladder) = self.rt.resilience.ladder else {
             return 0;
         };
         // The rung grades on the configured pressure signal: the raw
         // sample (historical behavior, bit-identical — the tracker is
         // never touched) or a leaky-bucket fold of it, so sub-millisecond
         // backlog spikes can't flip rungs.
-        let raw = self.max_effective_backlog_us(rt, now);
+        let raw = self.max_effective_backlog_us(now);
         let graded = self.pressure.observe(now, raw, ladder.pressure);
         ladder.level(graded)
     }
 
     /// The engine serving shard `s`: the promoted candidate if a
     /// lifecycle promotion installed one, else the lane's own backend.
-    fn engine_of<'rt>(&'rt self, rt: &'rt ShardedServeRuntime<'_>, s: usize) -> &'rt dyn Backend {
+    fn engine_of(&self, s: usize) -> &dyn Backend {
         self.promoted[s]
             .as_deref()
-            .unwrap_or(rt.lanes[s].backend.as_ref())
+            .unwrap_or(self.rt.lanes[s].backend.as_ref())
     }
 
     /// Start a retune attempt: draw the scripted outcome, and — when the
     /// retuner actually produces engines — compile one candidate per
     /// shard against that shard's slice of the recent traffic.
-    fn launch_attempt(
-        &mut self,
-        now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        policy: &mut ShardedRetunePolicy<'_>,
-    ) {
-        let outcome = match self.machine.as_mut() {
-            Some(m) => m.begin_attempt(now),
-            None => return,
+    fn launch_attempt(&mut self, now: f64, policy: &mut ShardedRetunePolicy<'_>) {
+        let rt = self.rt;
+        let Some(machine) = self.machine.as_mut() else {
+            return;
         };
-        if let Some(mon) = self.monitor.as_mut() {
-            mon.reset_window();
-        }
-        match outcome {
-            RetuneOutcome::CompileFail | RetuneOutcome::Stall => {
-                for c in &mut self.candidates {
-                    *c = None;
-                }
-            }
-            RetuneOutcome::Success | RetuneOutcome::Regression { .. } => {
-                for s in 0..self.num_shards() {
-                    let projected: Vec<Batch> = self
-                        .recent
-                        .iter()
-                        .map(|b| rt.placement.project_batch(b, s))
-                        .collect();
-                    let tuned = (policy.retuner)(&rt.lanes[s].model, &projected);
-                    if let (Some(t), Some(m)) = (tuned.tuning, self.machine.as_mut()) {
-                        m.record_tuning(t);
-                    }
-                    let engine: Box<dyn Backend> =
-                        if let RetuneOutcome::Regression { slowdown } = outcome {
-                            Box::new(RegressedBackend::new(tuned.backend, slowdown))
-                        } else {
-                            tuned.backend
-                        };
-                    self.candidates[s] = Some(engine);
-                }
-            }
+        let outcome = machine.begin_attempt(now);
+        let recent = self
+            .drift
+            .as_mut()
+            .map_or(&[][..], DriftWindow::begin_attempt);
+        for (s, slot) in self.candidates.iter_mut().enumerate() {
+            *slot = candidate_engine(outcome, machine, || {
+                let projected: Vec<Batch> = recent
+                    .iter()
+                    .map(|b| rt.placement.project_batch(b, s))
+                    .collect();
+                (policy.retuner)(&rt.lanes[s].model, &projected)
+            });
         }
     }
 
@@ -759,243 +701,79 @@ impl ShardedRunState {
     }
 
     /// Re-anchor the drift monitor on the traffic the new engines were
-    /// tuned for, so the mix that forced the retune reads as baseline.
+    /// tuned for.
     fn rebase_monitor(&mut self) {
-        if let Some(mon) = self.monitor.as_mut() {
-            let (lk, sm) = self.recent.iter().fold((0.0, 0.0), |(l, s), b| {
-                (l + b.total_lookups() as f64, s + b.batch_size as f64)
-            });
-            if sm > 0.0 {
-                mon.rebase(lk / sm);
-            }
+        if let Some(drift) = self.drift.as_mut() {
+            drift.rebase_on_recent();
         }
     }
 
+    /// SLO admission and drift monitoring for request `ri`. Returns
+    /// whether it was admitted; a shed request is recorded here.
     fn admit(
         &mut self,
         ri: usize,
         now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
         retune: &mut Option<&mut ShardedRetunePolicy<'_>>,
         deadlines: Option<&[f64]>,
-    ) -> Result<(), ServeError> {
-        let req = &requests[ri];
-        self.arrival_eff_us[ri] = if rt.config.closed_loop {
+    ) -> bool {
+        let (rt, req) = (self.rt, &self.requests[ri]);
+        let arrival_us = if rt.config.closed_loop {
             now
         } else {
             req.arrival_us
         };
+        self.arrival_eff_us[ri] = arrival_us;
 
-        // SLO admission: the slowest shard gates a chunk, so the tier's
-        // effective backlog is the worst per-shard backlog. A shed that
-        // happens while a fault is active is capacity loss, not traffic —
-        // record the reason so chaos reports can tell them apart. A
-        // per-request absolute deadline (a pipeline stage's remaining
-        // budget share) overrides the uniform config gate.
-        let admission_window = match deadlines {
-            Some(d) => Some(d[ri] - self.arrival_eff_us[ri]),
-            None => rt.config.slo_deadline_us,
-        };
-        if let Some(deadline) = admission_window {
-            if deadline < 0.0 || self.max_effective_backlog_us(rt, now) > deadline {
-                let reason = if rt.resilience.plan.any_active(now) {
-                    ShedReason::Fault
-                } else {
-                    ShedReason::Admission
-                };
-                self.records[ri] = Some(ShardedRequestRecord {
-                    base: RequestRecord {
-                        id: req.id,
-                        batch_size: req.batch.batch_size,
-                        arrival_us: self.arrival_eff_us[ri],
-                        queue_us: 0.0,
-                        service_us: 0.0,
-                        done_us: self.arrival_eff_us[ri],
-                        shed: reason,
-                    },
-                    device_us: 0.0,
-                    gather_us: 0.0,
-                    straggler_us: 0.0,
-                    degraded: false,
-                });
-                return Ok(());
-            }
+        // The slowest shard gates a chunk, so the tier's effective
+        // backlog is the worst per-shard backlog. A shed that happens
+        // while a fault is active is capacity loss, not traffic — record
+        // the reason so chaos reports can tell them apart.
+        if sheds_at_admission(&rt.config, deadlines, ri, arrival_us, || {
+            self.max_effective_backlog_us(now)
+        }) {
+            let reason = if rt.resilience.plan.any_active(now) {
+                ShedReason::Fault
+            } else {
+                ShedReason::Admission
+            };
+            self.records[ri] = Some(ShardedRequestRecord {
+                base: RequestRecord {
+                    id: req.id,
+                    batch_size: req.batch.batch_size,
+                    arrival_us,
+                    queue_us: 0.0,
+                    service_us: 0.0,
+                    done_us: arrival_us,
+                    shed: reason,
+                },
+                device_us: 0.0,
+                gather_us: 0.0,
+                straggler_us: 0.0,
+                degraded: false,
+            });
+            return false;
         }
 
         // Drift monitoring sees every admitted batch (full, pre-fan-out).
         if let Some(policy) = retune.as_deref_mut() {
-            self.recent.push(req.batch.clone());
-            let window = policy.drift.window.max(1);
-            if self.recent.len() > window {
-                self.recent.drain(..self.recent.len() - window);
-            }
-            let drifted = self
-                .monitor
+            let machine = self.machine.as_mut();
+            if self
+                .drift
                 .as_mut()
-                .map(|m| m.observe(&req.batch))
-                .unwrap_or(false);
-            // The machine absorbs fires while an attempt, canary,
-            // backoff or cooldown is active.
-            let wants = drifted
-                && self
-                    .machine
-                    .as_mut()
-                    .is_some_and(|m| m.wants_drift_retune(now));
-            if wants {
-                self.launch_attempt(now, rt, policy);
+                .is_some_and(|d| d.observe(&req.batch, now, machine))
+            {
+                self.launch_attempt(now, policy);
             }
         }
-
-        match rt.config.policy {
-            BatchPolicy::Unsplit => {
-                self.submit_chunk(req.batch.clone(), vec![ri], now, rt, requests)?;
-            }
-            BatchPolicy::Split { cap } => {
-                let chunks = req
-                    .batch
-                    .split(cap)
-                    .map_err(|_| ServeError::Policy("split cap must be at least 1"))?;
-                if chunks.is_empty() {
-                    self.finalize_empty(ri, now, requests);
-                } else {
-                    for chunk in chunks {
-                        self.submit_chunk(chunk, vec![ri], now, rt, requests)?;
-                    }
-                }
-            }
-            BatchPolicy::Dynamic { max_batch, .. } => {
-                if req.batch.batch_size == 0 {
-                    self.finalize_empty(ri, now, requests);
-                } else if req.batch.batch_size >= max_batch {
-                    // Oversized: flush waiting small requests first so
-                    // device order stays FIFO, then split the big one.
-                    self.flush_buffer(now, rt, requests)?;
-                    let chunks = req
-                        .batch
-                        .split(max_batch)
-                        .map_err(|_| ServeError::Policy("dynamic max_batch must be at least 1"))?;
-                    for chunk in chunks {
-                        self.submit_chunk(chunk, vec![ri], now, rt, requests)?;
-                    }
-                } else {
-                    if self.buffer_size + req.batch.batch_size > max_batch {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
-                    self.buffer.push((ri, req.batch.clone()));
-                    self.buffer_size += req.batch.batch_size;
-                    self.buffer_oldest_us = self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                    if self.buffer_size == max_batch || self.all_idle() {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
-                }
-            }
-            BatchPolicy::DynamicPacked { max_batch, .. } => {
-                if req.batch.batch_size == 0 {
-                    self.finalize_empty(ri, now, requests);
-                } else {
-                    // Padding-free coalescing: top the open batch off to
-                    // exactly `max_batch`, rolling the remainder of a
-                    // boundary-straddling request into the next batch.
-                    // The invariant `buffer_size < max_batch` holds on
-                    // entry and exit, so `room >= 1` always.
-                    let mut part = req.batch.clone();
-                    loop {
-                        let room = max_batch - self.buffer_size;
-                        if part.batch_size < room {
-                            self.buffer_size += part.batch_size;
-                            self.buffer.push((ri, part));
-                            self.buffer_oldest_us =
-                                self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                            break;
-                        }
-                        let mut pieces = part
-                            .split(room)
-                            .map_err(|_| {
-                                ServeError::Policy("dynamic max_batch must be at least 1")
-                            })?
-                            .into_iter();
-                        let head = pieces.next().ok_or(ServeError::Internal(
-                            "split of a non-empty batch yielded nothing",
-                        ))?;
-                        self.buffer.push((ri, head));
-                        self.buffer_size = max_batch;
-                        self.buffer_oldest_us = self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                        self.flush_buffer(now, rt, requests)?;
-                        let rest: Vec<Batch> = pieces.collect();
-                        if rest.is_empty() {
-                            break;
-                        }
-                        part = Batch::merge(&rest);
-                    }
-                    if !self.buffer.is_empty() && self.all_idle() {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn flush_buffer(
-        &mut self,
-        now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
-        if self.buffer.is_empty() {
-            return Ok(());
-        }
-        let entries = std::mem::take(&mut self.buffer);
-        self.buffer_size = 0;
-        self.buffer_oldest_us = f64::INFINITY;
-        let owners: Vec<usize> = entries.iter().map(|&(ri, _)| ri).collect();
-        let parts: Vec<Batch> = entries.into_iter().map(|(_, b)| b).collect();
-        let merged = Batch::merge(&parts);
-        self.submit_chunk(merged, owners, now, rt, requests)
-    }
-
-    /// Submit one device chunk, re-splitting it first when
-    /// `hot_shard_cap` narrows it: every sub-chunk of at most `cap`
-    /// samples fans out independently, so the slowest shard gates on a
-    /// strictly smaller slice of work per gather and the straggler gap
-    /// shrinks where placement is imbalanced. Each sub-chunk keeps the
-    /// full owner set — `remaining_chunks` counts per sub-chunk, so
-    /// request finalization waits for all of them. `None` takes the
-    /// exact historical single-submission path.
-    fn submit_chunk(
-        &mut self,
-        batch: Batch,
-        owners: Vec<usize>,
-        now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
-        match rt.config.hot_shard_cap {
-            Some(cap) if batch.batch_size > cap => {
-                let parts = batch
-                    .split(cap)
-                    .map_err(|_| ServeError::Policy("hot_shard_cap must be at least 1"))?;
-                for part in parts {
-                    self.submit_chunk_inner(part, owners.clone(), now, rt, requests)?;
-                }
-                Ok(())
-            }
-            _ => self.submit_chunk_inner(batch, owners, now, rt, requests),
-        }
+        true
     }
 
     /// Fan one device chunk out over every shard. Shards crashed at
     /// submission time (under mitigation) never see the job — their slice
     /// goes straight to a replica, a survivor, or the zero-pool.
-    fn submit_chunk_inner(
-        &mut self,
-        batch: Batch,
-        owners: Vec<usize>,
-        now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
+    fn fan_out(&mut self, batch: Batch, owners: Vec<usize>, now: f64) -> Result<(), ServeError> {
+        let rt = self.rt;
         let num_shards = rt.placement.num_devices;
         let chunk_id = self.next_chunk;
         self.next_chunk += 1;
@@ -1007,9 +785,9 @@ impl ShardedRunState {
         for dev in 0..num_shards {
             let sub_batch = rt.placement.project_batch(&batch, dev);
             let lane = &rt.lanes[dev];
-            let run =
-                self.engine_of(rt, dev)
-                    .run(&lane.model, &lane.tables, &sub_batch, rt.arch)?;
+            let run = self
+                .engine_of(dev)
+                .run(&lane.model, &lane.tables, &sub_batch, rt.arch)?;
             work_us.push(run.latency_us);
             launches_of.push(run.kernel_launches);
         }
@@ -1094,9 +872,9 @@ impl ShardedRunState {
         let mitigated = rt.resilience.ladder.is_some();
         for s in 0..num_shards {
             if mitigated && rt.resilience.plan.crashed(s, now) {
-                self.dispatch_replacement(chunk_id, s, now, rt, requests, true)?;
+                self.dispatch_replacement(chunk_id, s, now, true)?;
             } else {
-                let lane = self.read_lane(s, now, rt);
+                let lane = self.read_lane(s, now);
                 self.submit_job(chunk_id, s, lane, now, JobRole::Primary, true)?;
             }
         }
@@ -1108,7 +886,7 @@ impl ShardedRunState {
         // Zero-cost shard kernels retire inside `submit`; collect them so
         // their owners don't wait for a completion event that may never
         // have a distinct timestamp.
-        self.collect_completions(rt, requests)
+        self.collect_completions()
     }
 
     /// The lane that serves shard `s`'s slice of a fresh chunk. Replicas
@@ -1120,7 +898,8 @@ impl ShardedRunState {
     /// free to absorb failover and hedge traffic exactly when it
     /// matters. Ties go to the primary, keeping the choice a pure
     /// function of simulated state.
-    fn read_lane(&self, s: usize, now: f64, rt: &ShardedServeRuntime<'_>) -> usize {
+    fn read_lane(&self, s: usize, now: f64) -> usize {
+        let rt = self.rt;
         if !rt.resilience.replica_reads {
             return s;
         }
@@ -1197,18 +976,17 @@ impl ShardedRunState {
         chunk_id: u64,
         shard: usize,
         now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
         counts_start: bool,
     ) -> Result<(), ServeError> {
+        let rt = self.rt;
         let Some(chunk) = self.chunks.get(&chunk_id) else {
             return Ok(());
         };
         if chunk.shard_done[shard] {
             return Ok(());
         }
-        if self.ladder_level(rt, now) >= 2 {
-            return self.zero_pool(chunk_id, shard, now, rt, requests);
+        if self.ladder_level(now) >= 2 {
+            return self.zero_pool(chunk_id, shard, now);
         }
         let target = self.replica_lane_of[shard].or_else(|| {
             let mut best: Option<(f64, usize)> = None;
@@ -1229,7 +1007,7 @@ impl ShardedRunState {
                 self.lane_stats[shard].failovers += 1;
                 self.submit_job(chunk_id, shard, lane, now, JobRole::Failover, counts_start)
             }
-            None => self.zero_pool(chunk_id, shard, now, rt, requests),
+            None => self.zero_pool(chunk_id, shard, now),
         }
     }
 
@@ -1237,14 +1015,7 @@ impl ShardedRunState {
     /// a missing shard contributes an all-zero segment to the
     /// concatenated embedding, so the chunk stays answerable — flagged
     /// degraded — without any device work.
-    fn zero_pool(
-        &mut self,
-        chunk_id: u64,
-        shard: usize,
-        now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
+    fn zero_pool(&mut self, chunk_id: u64, shard: usize, now: f64) -> Result<(), ServeError> {
         let (siblings, resolved) = {
             let Some(chunk) = self.chunks.get_mut(&chunk_id) else {
                 return Ok(());
@@ -1269,7 +1040,7 @@ impl ShardedRunState {
             }
         }
         if resolved {
-            self.resolve_chunk(chunk_id, now, rt, requests)?;
+            self.resolve_chunk(chunk_id, now)?;
         }
         Ok(())
     }
@@ -1278,13 +1049,8 @@ impl ShardedRunState {
     /// chunk-shard work item (unless a surviving sibling — a hedge on a
     /// replica, or a job on a lane that isn't crashing too — already
     /// covers it).
-    fn crash_begin(
-        &mut self,
-        s: usize,
-        now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
+    fn crash_begin(&mut self, s: usize, now: f64) -> Result<(), ServeError> {
+        let rt = self.rt;
         let num_shards = self.num_shards();
         let failed = self.executors[s].fail_all(now);
         for job in failed {
@@ -1310,14 +1076,7 @@ impl ShardedRunState {
                 self.uncount_start(info.chunk);
             }
             if still_needed && !covered {
-                self.dispatch_replacement(
-                    info.chunk,
-                    info.shard,
-                    now,
-                    rt,
-                    requests,
-                    replace_counts,
-                )?;
+                self.dispatch_replacement(info.chunk, info.shard, now, replace_counts)?;
             }
         }
         Ok(())
@@ -1326,12 +1085,7 @@ impl ShardedRunState {
     /// Fire every hedge deadline due at `now`: shards that have not
     /// delivered their slice get a duplicate on their replica lane —
     /// unless the ladder has already dropped the hedge.
-    fn fire_deadlines(
-        &mut self,
-        now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
+    fn fire_deadlines(&mut self, now: f64) -> Result<(), ServeError> {
         let mut due: Vec<(f64, u64)> = Vec::new();
         self.pending_deadlines.retain(|&(t, id)| {
             if t <= now {
@@ -1346,7 +1100,7 @@ impl ShardedRunState {
             if !self.chunks.contains_key(&chunk_id) {
                 continue;
             }
-            if self.ladder_level(rt, now) >= 1 {
+            if self.ladder_level(now) >= 1 {
                 continue; // rung 1: duplicate work is the wrong spend
             }
             for s in 0..self.num_shards() {
@@ -1366,17 +1120,13 @@ impl ShardedRunState {
                 }
             }
         }
-        self.collect_completions(rt, requests)
+        self.collect_completions()
     }
 
     /// Apply every fault state change at `now`: lane rates (slowdown,
     /// stall, crash freeze) and crash onset/recovery.
-    fn apply_fault_transitions(
-        &mut self,
-        now: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
+    fn apply_fault_transitions(&mut self, now: f64) -> Result<(), ServeError> {
+        let rt = self.rt;
         let mitigated = rt.resilience.ladder.is_some();
         for s in 0..self.num_shards() {
             let crashed = rt.resilience.plan.crashed(s, now);
@@ -1393,24 +1143,20 @@ impl ShardedRunState {
             if crashed && !self.was_crashed[s] {
                 self.was_crashed[s] = true;
                 if mitigated {
-                    self.crash_begin(s, now, rt, requests)?;
+                    self.crash_begin(s, now)?;
                 }
             } else if !crashed && self.was_crashed[s] {
                 self.was_crashed[s] = false;
             }
         }
-        self.collect_completions(rt, requests)
+        self.collect_completions()
     }
 
     /// Drain per-shard completions, resolve finished chunks, and either
     /// finalize them (1 shard / free gather) or start their all-gather.
     /// Loops until quiescent: cancelling a raced sibling can promote
     /// zero-cost queued work whose completion must also land this event.
-    fn collect_completions(
-        &mut self,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
+    fn collect_completions(&mut self) -> Result<(), ServeError> {
         loop {
             self.note_starts();
             let mut any = false;
@@ -1456,7 +1202,7 @@ impl ShardedRunState {
                 }
             }
             for (chunk_id, t) in resolved {
-                self.resolve_chunk(chunk_id, t, rt, requests)?;
+                self.resolve_chunk(chunk_id, t)?;
             }
             if !any {
                 break;
@@ -1467,13 +1213,8 @@ impl ShardedRunState {
 
     /// Every shard has delivered (or been zero-pooled): account the
     /// chunk's device phase and start its gather (or retire it).
-    fn resolve_chunk(
-        &mut self,
-        chunk_id: u64,
-        fallback_t: f64,
-        rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
+    fn resolve_chunk(&mut self, chunk_id: u64, fallback_t: f64) -> Result<(), ServeError> {
+        let rt = self.rt;
         let chunk = self
             .chunks
             .remove(&chunk_id)
@@ -1514,13 +1255,13 @@ impl ShardedRunState {
             // One shard (or an ideal link): the chunk is done the
             // moment the device finishes — exactly the
             // single-device runtime's event sequence.
-            self.retire_chunk(&chunk, base_t, requests);
+            self.retire_chunk(&chunk, base_t);
         }
         Ok(())
     }
 
     /// Retire every gather due at `now` (submission order on ties).
-    fn retire_gathers(&mut self, now: f64, requests: &[Request]) -> Result<(), ServeError> {
+    fn retire_gathers(&mut self, now: f64) -> Result<(), ServeError> {
         let mut due: Vec<(f64, u64)> = Vec::new();
         self.pending_gathers.retain(|&(t, id)| {
             if t <= now {
@@ -1536,17 +1277,17 @@ impl ShardedRunState {
                 .chunks
                 .remove(&chunk_id)
                 .ok_or(ServeError::Internal("gather chunk state"))?;
-            self.retire_chunk(&chunk, t, requests);
+            self.retire_chunk(&chunk, t);
         }
         Ok(())
     }
 
-    fn retire_chunk(&mut self, chunk: &ChunkState, done_us: f64, requests: &[Request]) {
+    fn retire_chunk(&mut self, chunk: &ChunkState, done_us: f64) {
         for &ri in &chunk.owners {
             self.remaining_chunks[ri] -= 1;
             self.last_done_us[ri] = self.last_done_us[ri].max(done_us);
             if self.remaining_chunks[ri] == 0 {
-                self.finalize(ri, requests);
+                self.finalize(ri);
             }
         }
     }
@@ -1613,7 +1354,8 @@ impl ShardedRunState {
         }
     }
 
-    fn finalize(&mut self, ri: usize, requests: &[Request]) {
+    fn finalize(&mut self, ri: usize) {
+        let req = &self.requests[ri];
         let arrival = self.arrival_eff_us[ri];
         let done = self.last_done_us[ri];
         // A request whose every chunk was fully zero-pooled never saw a
@@ -1626,8 +1368,8 @@ impl ShardedRunState {
         let device_done = self.device_done_us[ri];
         self.records[ri] = Some(ShardedRequestRecord {
             base: RequestRecord {
-                id: requests[ri].id,
-                batch_size: requests[ri].batch.batch_size,
+                id: req.id,
+                batch_size: req.batch.batch_size,
                 arrival_us: arrival,
                 queue_us: first - arrival,
                 service_us: done - first,
@@ -1640,11 +1382,40 @@ impl ShardedRunState {
             degraded: self.degraded[ri],
         });
     }
+}
 
-    fn finalize_empty(&mut self, ri: usize, now: f64, requests: &[Request]) {
+impl ChunkSink for ShardedRunState<'_> {
+    /// Submit one device chunk, re-splitting it first when
+    /// `hot_shard_cap` narrows it: every sub-chunk of at most `cap`
+    /// samples fans out independently, so the slowest shard gates on a
+    /// strictly smaller slice of work per gather and the straggler gap
+    /// shrinks where placement is imbalanced. Each sub-chunk keeps the
+    /// full owner set — `remaining_chunks` counts per sub-chunk, so
+    /// request finalization waits for all of them. `None` takes the
+    /// exact historical single-submission path.
+    fn submit(&mut self, batch: Batch, owners: Vec<usize>, now: f64) -> Result<(), ServeError> {
+        match self.rt.config.hot_shard_cap {
+            Some(cap) if batch.batch_size > cap => {
+                let parts = batch
+                    .split(cap)
+                    .map_err(|_| ServeError::Policy("hot_shard_cap must be at least 1"))?;
+                for part in parts {
+                    self.fan_out(part, owners.clone(), now)?;
+                }
+                Ok(())
+            }
+            _ => self.fan_out(batch, owners, now),
+        }
+    }
+
+    fn idle(&self) -> bool {
+        self.all_idle()
+    }
+
+    fn finalize_empty(&mut self, ri: usize, now: f64) {
         self.records[ri] = Some(ShardedRequestRecord {
             base: RequestRecord {
-                id: requests[ri].id,
+                id: self.requests[ri].id,
                 batch_size: 0,
                 arrival_us: self.arrival_eff_us[ri],
                 queue_us: 0.0,
@@ -1666,9 +1437,9 @@ mod tests {
     use crate::faults::{
         Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, PressureSignal, ReplicationPolicy,
     };
-    use crate::lifecycle::{CanaryConfig, LifecycleEvent, OutcomePlan};
+    use crate::lifecycle::{CanaryConfig, LifecycleEvent, OutcomePlan, RetuneOutcome};
     use crate::request::WorkloadSpec;
-    use crate::runtime::{RetunePolicy, ServeRuntime};
+    use crate::runtime::{BatchPolicy, RetunePolicy, ServeRuntime};
     use proptest::prelude::*;
     use recflex_baselines::TorchRecBackend;
     use recflex_data::shift_distribution;

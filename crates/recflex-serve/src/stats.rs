@@ -376,7 +376,8 @@ fn mean(xs: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-fn percentile(xs: impl Iterator<Item = f64>, q: f64) -> f64 {
+/// Nearest-rank percentile (`q` in `[0, 1]`) of `xs`; 0 when empty.
+pub fn percentile(xs: impl Iterator<Item = f64>, q: f64) -> f64 {
     let mut v: Vec<f64> = xs.collect();
     if v.is_empty() {
         return 0.0;
