@@ -3,20 +3,17 @@
 //! Everything that happens to a request between its arrival and its
 //! first device chunk lives here, once: the SLO admission gate
 //! ([`sheds_at_admission`]), the drift window that watches admitted
-//! traffic ([`DriftWindow`]), the batch-shaping policy ([`Batcher`]) and
-//! the step that turns a retune attempt into a candidate engine
-//! ([`candidate_engine`]). [`crate::ServeRuntime`] and
+//! traffic ([`DriftWindow`]) and the batch-shaping policy ([`Batcher`]).
+//! [`crate::ServeRuntime`] and
 //! [`crate::ShardedServeRuntime`] keep their own event loops, executors
 //! and records; they call these in the same fixed order — admission,
 //! drift, shaping, then the idle-flush checks — and hand shaped chunks
 //! back through the [`ChunkSink`] they implement.
 
-use recflex_baselines::Backend;
 use recflex_data::{Batch, ModelConfig};
 
 use crate::drift::{DriftConfig, DriftMonitor};
-use crate::lifecycle::{LifecycleMachine, RegressedBackend, RetuneOutcome};
-use crate::runtime::{BatchPolicy, ServeConfig, ServeError, TunedCandidate};
+use crate::runtime::{BatchPolicy, ServeConfig, ServeError};
 
 /// SLO admission: whether request `ri`, effectively arriving at
 /// `arrival_us`, must be shed because it cannot finish in time. A
@@ -247,21 +244,13 @@ impl DriftWindow {
         }
     }
 
-    /// Record one admitted batch; true when the monitor fired and the
-    /// lifecycle `machine` is steady enough to launch a retune (it
-    /// absorbs fires while an attempt, canary, backoff or cooldown is
-    /// active, so drift re-firing every window cannot overlap retunes).
-    pub(crate) fn observe(
-        &mut self,
-        batch: &Batch,
-        now: f64,
-        machine: Option<&mut LifecycleMachine>,
-    ) -> bool {
+    /// Record one admitted batch; true when the monitor fired.
+    pub(crate) fn observe(&mut self, batch: &Batch) -> bool {
         self.recent.push(batch.clone());
         if self.recent.len() > self.window {
             self.recent.drain(..self.recent.len() - self.window);
         }
-        self.monitor.observe(batch) && machine.is_some_and(|m| m.wants_drift_retune(now))
+        self.monitor.observe(batch)
     }
 
     /// Start a fresh observation window for a launching retune attempt
@@ -282,31 +271,6 @@ impl DriftWindow {
             self.monitor.rebase(lk / sm);
         }
     }
-}
-
-/// The candidate engine a retune attempt yields. Compile failures and
-/// stalls yield none and never invoke `tune`; a success yields the tuned
-/// backend, a scripted regression the tuned backend wrapped in
-/// [`RegressedBackend`] so it really serves slower. Vault accounting the
-/// retuner reports is recorded on `machine`.
-pub(crate) fn candidate_engine(
-    outcome: RetuneOutcome,
-    machine: &mut LifecycleMachine,
-    tune: impl FnOnce() -> TunedCandidate,
-) -> Option<Box<dyn Backend>> {
-    let slowdown = match outcome {
-        RetuneOutcome::CompileFail | RetuneOutcome::Stall => return None,
-        RetuneOutcome::Success => None,
-        RetuneOutcome::Regression { slowdown } => Some(slowdown),
-    };
-    let tuned = tune();
-    if let Some(t) = tuned.tuning {
-        machine.record_tuning(t);
-    }
-    Some(match slowdown {
-        Some(s) => Box::new(RegressedBackend::new(tuned.backend, s)),
-        None => tuned.backend,
-    })
 }
 
 #[cfg(test)]

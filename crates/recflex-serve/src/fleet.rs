@@ -28,7 +28,7 @@ use serde::Serialize;
 use crate::elastic::FleetChaosStats;
 use crate::lifecycle::EngineTuning;
 use crate::sharded::ShardedServeRuntime;
-use crate::stats::{RequestRecord, ShardedReport, ShardedRequestRecord, ShedReason};
+use crate::stats::{ShardedReport, ShardedRequestRecord, ShedReason};
 use crate::workload::FleetArrival;
 use crate::Request;
 use crate::ServeError;
@@ -41,21 +41,14 @@ use recflex_sim::GpuArch;
 /// visible in the same record stream the runtimes produce, so
 /// availability and shed-reason accounting see every offered request.
 pub(crate) fn edge_record(req: &Request, shed: ShedReason, degraded: bool) -> ShardedRequestRecord {
-    ShardedRequestRecord {
-        base: RequestRecord {
-            id: req.id,
-            batch_size: req.batch.batch_size,
-            arrival_us: req.arrival_us,
-            queue_us: 0.0,
-            service_us: 0.0,
-            done_us: req.arrival_us,
-            shed,
-        },
-        device_us: 0.0,
-        gather_us: 0.0,
-        straggler_us: 0.0,
+    ShardedRequestRecord::zero_service(
+        req.id,
+        req.batch.batch_size,
+        req.arrival_us,
+        req.arrival_us,
+        shed,
         degraded,
-    }
+    )
 }
 
 /// Splice edge-synthesized records into a member report and restore one

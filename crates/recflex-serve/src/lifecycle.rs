@@ -41,6 +41,13 @@
 //! canary, no cooldown — the machine walks Steady → Retuning → Promoted
 //! with the exact timestamps of the old unconditional hot swap, so the
 //! no-failure path is bit-identical to the pre-lifecycle runtime.
+//!
+//! Both serving runtimes drive the machine through one crate-private
+//! engine lifecycle (`EngineLifecycle`) that owns the drift trigger, the
+//! machine and the per-shard engine slots: it launches attempts, carries
+//! out every [`TimerAction`], and runs the canary shadow step. A rollback
+//! or a failed attempt restores each shard's incumbent — the last
+//! promoted engine, not the one the runtime was built with.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,6 +57,9 @@ use recflex_baselines::{Backend, BackendError, BackendRun};
 use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::TableSet;
 use recflex_sim::GpuArch;
+
+use crate::admission::DriftWindow;
+use crate::runtime::{ServeError, TunedCandidate};
 
 /// What one retune attempt turns out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -486,9 +496,10 @@ enum State {
     },
 }
 
-/// The deterministic lifecycle driver. The runtime owns the engines; the
-/// machine owns the state, timers, counters and trace, and tells the
-/// runtime what to do via [`TimerAction`] and [`CanaryVerdict`].
+/// The deterministic lifecycle driver. The crate's engine lifecycle owns
+/// the engines; the machine owns the state, timers, counters and trace,
+/// and tells the engine lifecycle what to do via [`TimerAction`] and
+/// [`CanaryVerdict`].
 #[derive(Debug, Clone)]
 pub struct LifecycleMachine {
     config: LifecycleConfig,
@@ -914,6 +925,204 @@ impl Backend for RegressedBackend {
     }
 }
 
+/// A retuner adapted to the engine lifecycle: builds shard `s`'s engine
+/// from the recent full admitted batches.
+pub(crate) type ShardRetuner<'r> = Box<dyn FnMut(usize, &[Batch]) -> TunedCandidate + 'r>;
+
+/// The engine lifecycle both serving runtimes drive: the drift trigger,
+/// the [`LifecycleMachine`] and per-shard engine slots. A shard serves
+/// its incumbent — the last promoted engine, or the engine the runtime
+/// was built with — unless a staged rollout has already switched it to
+/// the candidate. The candidate becomes the incumbent only once every
+/// shard has it; a failed attempt or a rollback drops it, which puts
+/// every switched shard back on its incumbent.
+pub(crate) struct EngineLifecycle<'r> {
+    drift: DriftWindow,
+    machine: LifecycleMachine,
+    retuner: ShardRetuner<'r>,
+    /// Per-shard last promoted engine; `None` is the built engine.
+    incumbent: Vec<Option<Box<dyn Backend>>>,
+    /// Per-shard engine of the current attempt, awaiting its canary
+    /// verdict or promotion.
+    candidate: Vec<Option<Box<dyn Backend>>>,
+}
+
+impl<'r> EngineLifecycle<'r> {
+    /// One engine slot per shard of `machine`.
+    pub(crate) fn new(
+        drift: DriftWindow,
+        machine: LifecycleMachine,
+        retuner: ShardRetuner<'r>,
+    ) -> Self {
+        let slots = || (0..machine.num_shards).map(|_| None).collect();
+        EngineLifecycle {
+            incumbent: slots(),
+            candidate: slots(),
+            drift,
+            machine,
+            retuner,
+        }
+    }
+
+    /// The engine serving shard `s`; `built` is the one the runtime was
+    /// built with. Shards `0..k` of a staged rollout serve the candidate.
+    pub(crate) fn engine<'e>(&'e self, s: usize, built: &'e dyn Backend) -> &'e dyn Backend {
+        let slot = if s < self.machine.promoted_shards() {
+            &self.candidate[s]
+        } else {
+            &self.incumbent[s]
+        };
+        slot.as_deref().unwrap_or(built)
+    }
+
+    /// When [`Self::on_timer`] must run next, if ever.
+    pub(crate) fn next_timer_us(&self) -> Option<f64> {
+        self.machine.next_timer_us()
+    }
+
+    /// Watch one admitted batch; launch a retune when the drift monitor
+    /// fires and the machine is steady (it absorbs fires while an
+    /// attempt, canary, backoff or cooldown is active, so drift re-firing
+    /// every window cannot overlap retunes).
+    pub(crate) fn observe(&mut self, batch: &Batch, now: f64) {
+        if self.drift.observe(batch) && self.machine.wants_drift_retune(now) {
+            self.launch(now);
+        }
+    }
+
+    /// Start a retune attempt: draw its scripted outcome and, when the
+    /// tuner returns engines, build one candidate per shard from the
+    /// recent traffic.
+    fn launch(&mut self, now: f64) {
+        let outcome = self.machine.begin_attempt(now);
+        let recent = self.drift.begin_attempt();
+        for (s, slot) in self.candidate.iter_mut().enumerate() {
+            *slot = candidate_engine(outcome, &mut self.machine, || (self.retuner)(s, recent));
+        }
+    }
+
+    /// Advance the machine at its due timer and carry out the action.
+    pub(crate) fn on_timer(&mut self, now: f64) -> Result<(), ServeError> {
+        match self.machine.on_timer(now) {
+            TimerAction::PromoteAll => self.install(),
+            TimerAction::PromoteShard(s) => {
+                if self.candidate[s].is_none() {
+                    return Err(ServeError::Internal("promotion without a candidate engine"));
+                }
+                // The rollout stays switchable until its last shard lands.
+                if self.machine.in_canary() {
+                    Ok(())
+                } else {
+                    self.install()
+                }
+            }
+            TimerAction::DropCandidate | TimerAction::RollBackAll => {
+                self.drop_candidate();
+                Ok(())
+            }
+            TimerAction::Retry => {
+                self.launch(now);
+                Ok(())
+            }
+            TimerAction::BeginCanary | TimerAction::Noop => Ok(()),
+        }
+    }
+
+    /// Make the candidate every shard's incumbent and rebase the drift
+    /// monitor onto the traffic it was tuned for.
+    fn install(&mut self) -> Result<(), ServeError> {
+        for (incumbent, candidate) in self.incumbent.iter_mut().zip(&mut self.candidate) {
+            *incumbent = Some(
+                candidate
+                    .take()
+                    .ok_or(ServeError::Internal("promotion without a candidate engine"))?,
+            );
+        }
+        self.drift.rebase_on_recent();
+        Ok(())
+    }
+
+    fn drop_candidate(&mut self) {
+        self.candidate.iter_mut().for_each(|c| *c = None);
+    }
+
+    /// The canary step for one admitted chunk whose per-shard incumbent
+    /// device times are `work_us`. When the machine samples the chunk,
+    /// `run` replays it on the candidate of every shard the rollout has
+    /// not switched yet. In shadow mode (the default) that cost is only
+    /// accounted, never queued, so canarying cannot perturb latencies;
+    /// in split-traffic mode ([`CanaryConfig::split_traffic`]) it replaces
+    /// the incumbent's time in `work_us`, so the verdict reflects the
+    /// candidate under real queueing. A candidate that refuses traffic
+    /// loses its canary on the spot; a lost canary drops the candidate.
+    /// A won canary's promotions arrive as timer events.
+    pub(crate) fn shadow(
+        &mut self,
+        now: f64,
+        work_us: &mut [f64],
+        mut run: impl FnMut(usize, &dyn Backend) -> Result<f64, BackendError>,
+    ) {
+        if !self.machine.should_shadow() {
+            return;
+        }
+        let split = self.machine.split_traffic();
+        let mut incumbent_us = vec![0.0; work_us.len()];
+        let mut candidate_us = vec![0.0; work_us.len()];
+        for s in self.machine.promoted_shards()..work_us.len() {
+            let Some(engine) = self.candidate[s].as_deref() else {
+                continue;
+            };
+            let Ok(latency_us) = run(s, engine) else {
+                self.machine.force_rollback(now);
+                self.drop_candidate();
+                return;
+            };
+            incumbent_us[s] = work_us[s];
+            candidate_us[s] = latency_us;
+            if split {
+                work_us[s] = latency_us;
+            }
+        }
+        if self
+            .machine
+            .observe_canary(now, &incumbent_us, &candidate_us)
+            == CanaryVerdict::RollBack
+        {
+            self.drop_candidate();
+        }
+    }
+
+    /// Consume the lifecycle into its report fields.
+    pub(crate) fn into_parts(self) -> (LifecycleStats, Vec<LifecycleEvent>) {
+        self.machine.into_parts()
+    }
+}
+
+/// The candidate engine a retune attempt yields. Compile failures and
+/// stalls yield none and never invoke `tune`; a success yields the tuned
+/// backend, a scripted regression the tuned backend wrapped in
+/// [`RegressedBackend`] so it really serves slower. Vault accounting the
+/// retuner reports is recorded on `machine`.
+fn candidate_engine(
+    outcome: RetuneOutcome,
+    machine: &mut LifecycleMachine,
+    tune: impl FnOnce() -> TunedCandidate,
+) -> Option<Box<dyn Backend>> {
+    let slowdown = match outcome {
+        RetuneOutcome::CompileFail | RetuneOutcome::Stall => return None,
+        RetuneOutcome::Success => None,
+        RetuneOutcome::Regression { slowdown } => Some(slowdown),
+    };
+    let tuned = tune();
+    if let Some(t) = tuned.tuning {
+        machine.record_tuning(t);
+    }
+    Some(match slowdown {
+        Some(s) => Box::new(RegressedBackend::new(tuned.backend, s)),
+        None => tuned.backend,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1199,6 +1408,178 @@ mod tests {
         assert_eq!(s.stage_us(1), 1_250.0);
         assert_eq!(s.stage_us(2), 1_500.0);
         assert_eq!(s.complete_us(), 1_500.0);
+    }
+
+    /// A backend that answers every batch in a fixed time, or refuses
+    /// every batch (`None`).
+    struct Fixed(Option<f64>);
+
+    impl Backend for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+
+        fn run(
+            &self,
+            model: &ModelConfig,
+            _: &TableSet,
+            batch: &Batch,
+            _: &GpuArch,
+        ) -> Result<BackendRun, BackendError> {
+            let latency_us = self
+                .0
+                .ok_or_else(|| BackendError::Launch("refused".into()))?;
+            Ok(BackendRun {
+                output: recflex_embedding::FusedOutput::zeros(model, batch.batch_size),
+                latency_us,
+                kernel_launches: 1,
+            })
+        }
+    }
+
+    const BUILT: Fixed = Fixed(Some(10.0));
+
+    /// An engine lifecycle over `shards` slots whose retuner hands out a
+    /// [`Fixed`] engine at whatever `next` holds when it runs.
+    fn engines(
+        config: LifecycleConfig,
+        shards: usize,
+        next: &std::cell::Cell<Option<f64>>,
+    ) -> EngineLifecycle<'_> {
+        let model = recflex_data::ModelPreset::A.scaled(0.01);
+        EngineLifecycle::new(
+            DriftWindow::new(crate::drift::DriftConfig::default(), &model),
+            LifecycleMachine::new(config, 1_000.0, shards, 500.0),
+            Box::new(move |_, _| {
+                TunedCandidate::from(Box::new(Fixed(next.get())) as Box<dyn Backend>)
+            }),
+        )
+    }
+
+    /// The device time of `engine` on a small batch (the shard index is
+    /// ignored: it makes this a shadow-step runner).
+    fn device_time(_: usize, engine: &dyn Backend) -> Result<f64, BackendError> {
+        let model = recflex_data::ModelPreset::A.scaled(0.01);
+        let tables = TableSet::for_model(&model);
+        let batch = Batch::generate(&model, 4, 1);
+        engine
+            .run(&model, &tables, &batch, &GpuArch::v100())
+            .map(|r| r.latency_us)
+    }
+
+    /// The device time of the engine serving each shard.
+    fn serving(lc: &EngineLifecycle<'_>) -> Vec<f64> {
+        (0..lc.incumbent.len())
+            .map(|s| device_time(s, lc.engine(s, &BUILT)).unwrap_or(f64::NAN))
+            .collect()
+    }
+
+    fn canaried() -> LifecycleConfig {
+        LifecycleConfig {
+            canary: Some(CanaryConfig {
+                shadow_fraction: 1.0,
+                window: 1,
+                min_win_margin: 0.0,
+                split_traffic: false,
+            }),
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn promote_all_installs_the_candidate_on_every_shard() {
+        let next = std::cell::Cell::new(Some(5.0));
+        let mut lc = engines(LifecycleConfig::default(), 3, &next);
+        lc.launch(0.0);
+        assert_eq!(serving(&lc), vec![10.0; 3], "the retune is in flight");
+        lc.on_timer(1_000.0).unwrap();
+        assert_eq!(serving(&lc), vec![5.0; 3]);
+        assert_eq!(lc.into_parts().0.engine_version, 1);
+    }
+
+    #[test]
+    fn drop_candidate_after_a_promotion_keeps_the_promoted_engine() {
+        let cfg = LifecycleConfig {
+            outcomes: OutcomePlan::scripted(vec![
+                RetuneOutcome::Success,
+                RetuneOutcome::CompileFail,
+            ]),
+            ..Default::default()
+        };
+        let next = std::cell::Cell::new(Some(5.0));
+        let mut lc = engines(cfg, 2, &next);
+        lc.launch(0.0);
+        lc.on_timer(1_000.0).unwrap();
+        lc.launch(2_000.0);
+        lc.on_timer(3_000.0).unwrap();
+        assert_eq!(serving(&lc), vec![5.0; 2], "the promoted engine stays");
+        let stats = lc.into_parts().0;
+        assert_eq!((stats.engine_version, stats.retunes_failed), (1, 1));
+    }
+
+    /// Promote a 5 µs engine on three shards through a canary and a full
+    /// rollout, then switch shard 0 to a 4 µs candidate.
+    fn mid_rollout(next: &std::cell::Cell<Option<f64>>) -> EngineLifecycle<'_> {
+        let mut lc = engines(canaried(), 3, next);
+        lc.launch(0.0);
+        lc.on_timer(1_000.0).unwrap();
+        lc.shadow(1_100.0, &mut [10.0; 3], device_time);
+        for t in [1_100.0, 1_600.0, 2_100.0] {
+            lc.on_timer(t).unwrap();
+        }
+        assert_eq!(serving(&lc), vec![5.0; 3]);
+        next.set(Some(4.0));
+        lc.launch(3_000.0);
+        lc.on_timer(4_000.0).unwrap();
+        lc.shadow(4_100.0, &mut [5.0; 3], device_time);
+        lc.on_timer(4_100.0).unwrap();
+        assert_eq!(serving(&lc), vec![4.0, 5.0, 5.0]);
+        lc
+    }
+
+    #[test]
+    fn staged_rollback_restores_the_prior_incumbent_on_switched_shards() {
+        let next = std::cell::Cell::new(Some(5.0));
+        let mut lc = mid_rollout(&next);
+        // Shard 1's candidate regresses before its rollout step.
+        lc.shadow(4_200.0, &mut [4.0, 5.0, 5.0], |s, engine| {
+            device_time(s, engine).map(|t| if s == 1 { 50.0 } else { t })
+        });
+        lc.on_timer(4_600.0).unwrap();
+        assert_eq!(serving(&lc), vec![5.0; 3], "back on the last promotion");
+        let stats = lc.into_parts().0;
+        assert_eq!((stats.engine_version, stats.retunes_rolled_back), (1, 1));
+    }
+
+    #[test]
+    fn shadow_skips_shards_the_rollout_already_switched() {
+        let next = std::cell::Cell::new(Some(5.0));
+        let mut lc = mid_rollout(&next);
+        let mut shadowed = Vec::new();
+        let mut work_us = [4.0, 5.0, 5.0];
+        lc.shadow(4_200.0, &mut work_us, |s, engine| {
+            shadowed.push(s);
+            device_time(s, engine)
+        });
+        assert_eq!(shadowed, vec![1, 2]);
+        assert_eq!(work_us, [4.0, 5.0, 5.0], "shadow mode never serves");
+    }
+
+    #[test]
+    fn a_refusing_candidate_forces_a_rollback() {
+        let next = std::cell::Cell::new(None);
+        let mut lc = engines(canaried(), 1, &next);
+        lc.launch(0.0);
+        lc.on_timer(1_000.0).unwrap();
+        lc.shadow(1_100.0, &mut [10.0], device_time);
+        assert!(lc.candidate[0].is_none(), "the candidate is dropped");
+        assert_eq!(serving(&lc), vec![10.0]);
+        let stats = lc.into_parts().0;
+        assert_eq!((stats.engine_version, stats.retunes_rolled_back), (0, 1));
     }
 
     #[test]

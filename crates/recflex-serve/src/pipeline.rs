@@ -20,11 +20,10 @@
 //!   fleet-wide retry amplification, shrinking the candidate count
 //!   along the stage's degradation ladder;
 //! * **fall back** once the per-stage [`CircuitBreaker`] trips
-//!   (closed → open → half-open on the leaky-bucket
-//!   [`PressureSignal`](crate::PressureSignal) idiom): ranking falls
-//!   back to retrieval-order scores, filtering is skipped — the answer
-//!   arrives *within its budget share*, flagged in the per-stage
-//!   `degraded` mask, instead of shedding.
+//!   (closed → open → half-open on the leaky-bucket [`PressureSignal`]
+//!   idiom): ranking falls back to retrieval-order scores, filtering is
+//!   skipped — the answer arrives *within its budget share*, flagged in
+//!   the per-stage `degraded` mask, instead of shedding.
 //!
 //! Determinism: stage attempts are served by the (bit-replayable)
 //! sharded tier, and all policy decisions run over the resulting

@@ -24,14 +24,12 @@ use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::TableSet;
 use recflex_sim::GpuArch;
 
-use crate::admission::{candidate_engine, sheds_at_admission, Batcher, ChunkSink, DriftWindow};
+use crate::admission::{sheds_at_admission, Batcher, ChunkSink, DriftWindow};
 use crate::drift::DriftConfig;
 use crate::executor::DeviceExecutor;
-use crate::lifecycle::{
-    CanaryVerdict, EngineTuning, LifecycleConfig, LifecycleMachine, TimerAction,
-};
+use crate::lifecycle::{EngineLifecycle, EngineTuning, LifecycleConfig, LifecycleMachine};
 use crate::request::Request;
-use crate::stats::{RequestRecord, ServeReport, ShedReason};
+use crate::stats::{RequestRecord, ServeReport, ShardedRequestRecord, ShedReason};
 
 /// How the runtime shapes request batches before launching them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,22 +196,6 @@ pub struct ServeRuntime<'a> {
     pub config: ServeConfig,
 }
 
-/// The engine currently serving: the caller's borrowed backend until a
-/// retune completes, then the owned replacement.
-enum Active<'a> {
-    Borrowed(&'a dyn Backend),
-    Owned(Box<dyn Backend>),
-}
-
-impl Active<'_> {
-    fn get(&self) -> &dyn Backend {
-        match self {
-            Active::Borrowed(b) => *b,
-            Active::Owned(b) => b.as_ref(),
-        }
-    }
-}
-
 /// Which event fires next; declaration order is tie-break priority.
 /// `Lifecycle` sits in the slot the engine swap used to occupy, so the
 /// all-success no-canary path fires its promotion at the exact priority
@@ -264,7 +246,7 @@ impl ServeRuntime<'_> {
     fn run(
         &self,
         requests: &[Request],
-        mut retune: Option<&mut RetunePolicy<'_>>,
+        retune: Option<&mut RetunePolicy<'_>>,
         deadlines: Option<&[f64]>,
     ) -> Result<ServeReport, ServeError> {
         let mut batcher = Batcher::new(self.config.policy)?;
@@ -281,15 +263,13 @@ impl ServeRuntime<'_> {
             chunk_owners: HashMap::new(),
             next_job: 0,
             launches: 0,
-            active: Active::Borrowed(self.backend),
-            drift: retune
-                .as_ref()
-                .map(|r| DriftWindow::new(r.drift, self.model)),
-            machine: retune
-                .as_ref()
-                .map(|r| LifecycleMachine::new(r.lifecycle.clone(), r.retune_latency_us, 1, 0.0)),
-            candidate: None,
-            retunes: 0,
+            lifecycle: retune.map(|r| {
+                EngineLifecycle::new(
+                    DriftWindow::new(r.drift, self.model),
+                    LifecycleMachine::new(r.lifecycle.clone(), r.retune_latency_us, 1, 0.0),
+                    Box::new(|_, recent| (r.retuner)(recent)),
+                )
+            }),
         };
 
         let mut cursor = 0usize;
@@ -307,9 +287,9 @@ impl ServeRuntime<'_> {
             };
             consider(st.executor.next_completion_us(), EventKind::Completion);
             consider(
-                st.machine
+                st.lifecycle
                     .as_ref()
-                    .and_then(LifecycleMachine::next_timer_us),
+                    .and_then(EngineLifecycle::next_timer_us),
                 EventKind::Lifecycle,
             );
             let arrival_t = if cursor < n {
@@ -336,27 +316,12 @@ impl ServeRuntime<'_> {
                     batcher.flush_if_idle(now, &mut st)?;
                 }
                 EventKind::Lifecycle => {
-                    let action = match st.machine.as_mut() {
-                        Some(m) => m.on_timer(now),
-                        None => TimerAction::Noop,
-                    };
-                    match action {
-                        TimerAction::PromoteAll | TimerAction::PromoteShard(_) => {
-                            st.install_candidate()?;
-                        }
-                        TimerAction::DropCandidate | TimerAction::RollBackAll => {
-                            st.candidate = None;
-                        }
-                        TimerAction::Retry => {
-                            if let Some(policy) = retune.as_deref_mut() {
-                                st.launch_attempt(now, policy);
-                            }
-                        }
-                        TimerAction::BeginCanary | TimerAction::Noop => {}
+                    if let Some(lifecycle) = st.lifecycle.as_mut() {
+                        lifecycle.on_timer(now)?;
                     }
                 }
                 EventKind::Arrival => {
-                    if st.admit(cursor, now, &mut retune, deadlines) {
+                    if st.admit(cursor, now, deadlines) {
                         let arrival_us = st.arrival_eff_us[cursor];
                         batcher.shape(cursor, &requests[cursor].batch, arrival_us, now, &mut st)?;
                     }
@@ -370,13 +335,13 @@ impl ServeRuntime<'_> {
 
         debug_assert!(st.records.iter().all(Option::is_some));
         let (lifecycle, lifecycle_trace) = st
-            .machine
-            .map(LifecycleMachine::into_parts)
+            .lifecycle
+            .map(EngineLifecycle::into_parts)
             .unwrap_or_default();
         Ok(ServeReport {
             records: st.records.into_iter().flatten().collect(),
             kernel_launches: st.launches,
-            retunes: st.retunes,
+            retunes: lifecycle.retunes_promoted,
             makespan_us: now,
             lifecycle,
             lifecycle_trace,
@@ -399,28 +364,15 @@ struct RunState<'a> {
     chunk_owners: HashMap<u64, Vec<usize>>,
     next_job: u64,
     launches: u64,
-    active: Active<'a>,
-    /// The drift trigger (present iff retuning is on).
-    drift: Option<DriftWindow>,
-    /// The lifecycle state machine (present iff retuning is on). Owns
-    /// the timers: an in-flight retune, a backoff, a staged promotion.
-    machine: Option<LifecycleMachine>,
-    /// The engine the current attempt produced, awaiting canary verdict
-    /// or promotion.
-    candidate: Option<Box<dyn Backend>>,
-    retunes: u32,
+    /// Drift trigger, lifecycle machine and engine slots (present iff
+    /// retuning is on).
+    lifecycle: Option<EngineLifecycle<'a>>,
 }
 
 impl RunState<'_> {
     /// SLO admission and drift monitoring for request `ri`. Returns
     /// whether it was admitted; a shed request is recorded here.
-    fn admit(
-        &mut self,
-        ri: usize,
-        now: f64,
-        retune: &mut Option<&mut RetunePolicy<'_>>,
-        deadlines: Option<&[f64]>,
-    ) -> bool {
+    fn admit(&mut self, ri: usize, now: f64, deadlines: Option<&[f64]>) -> bool {
         let (rt, req) = (self.rt, &self.requests[ri]);
         let arrival_us = if rt.config.closed_loop {
             now
@@ -435,28 +387,23 @@ impl RunState<'_> {
         if sheds_at_admission(&rt.config, deadlines, ri, arrival_us, || {
             self.executor.backlog_us()
         }) {
-            self.records[ri] = Some(RequestRecord {
-                id: req.id,
-                batch_size: req.batch.batch_size,
-                arrival_us,
-                queue_us: 0.0,
-                service_us: 0.0,
-                done_us: arrival_us,
-                shed: ShedReason::Admission,
-            });
+            self.records[ri] = Some(
+                ShardedRequestRecord::zero_service(
+                    req.id,
+                    req.batch.batch_size,
+                    arrival_us,
+                    arrival_us,
+                    ShedReason::Admission,
+                    false,
+                )
+                .base,
+            );
             return false;
         }
 
         // Drift monitoring sees every admitted batch.
-        if let Some(policy) = retune.as_deref_mut() {
-            let machine = self.machine.as_mut();
-            if self
-                .drift
-                .as_mut()
-                .is_some_and(|d| d.observe(&req.batch, now, machine))
-            {
-                self.launch_attempt(now, policy);
-            }
+        if let Some(lifecycle) = self.lifecycle.as_mut() {
+            lifecycle.observe(&req.batch, now);
         }
         true
     }
@@ -476,36 +423,6 @@ impl RunState<'_> {
                     self.finalize(ri);
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Launch a retune attempt: draw its injected outcome, build the
-    /// candidate when the tuner "returns" one (wrapping regressions so
-    /// they really serve slower), and start the lifecycle timers.
-    fn launch_attempt(&mut self, now: f64, policy: &mut RetunePolicy<'_>) {
-        let Some(machine) = self.machine.as_mut() else {
-            return;
-        };
-        let outcome = machine.begin_attempt(now);
-        let recent = self
-            .drift
-            .as_mut()
-            .map_or(&[][..], DriftWindow::begin_attempt);
-        self.candidate = candidate_engine(outcome, machine, || (policy.retuner)(recent));
-    }
-
-    /// Promote the candidate: it becomes the active engine and the drift
-    /// monitor rebases onto the traffic it was tuned for.
-    fn install_candidate(&mut self) -> Result<(), ServeError> {
-        let backend = self
-            .candidate
-            .take()
-            .ok_or(ServeError::Internal("promotion without a candidate engine"))?;
-        self.active = Active::Owned(backend);
-        self.retunes += 1;
-        if let Some(drift) = self.drift.as_mut() {
-            drift.rebase_on_recent();
         }
         Ok(())
     }
@@ -543,56 +460,19 @@ impl RunState<'_> {
 impl ChunkSink for RunState<'_> {
     fn submit(&mut self, batch: Batch, owners: Vec<usize>, now: f64) -> Result<(), ServeError> {
         let rt = self.rt;
-        let run = self
-            .active
-            .get()
-            .run(rt.model, rt.tables, &batch, rt.arch)?;
+        let engine = self
+            .lifecycle
+            .as_ref()
+            .map_or(rt.backend, |l| l.engine(0, rt.backend));
+        let run = engine.run(rt.model, rt.tables, &batch, rt.arch)?;
         self.launches += u64::from(run.kernel_launches);
-        // Canary: the candidate sees a deterministic fraction of chunks.
-        // In shadow mode (the default) its cost is accounted in the
-        // lifecycle stats, never submitted to the device — shadowing
-        // cannot perturb latencies. In split-traffic mode
-        // ([`CanaryConfig::split_traffic`]) the canaried chunk is
-        // *served by the candidate*: its device time enters the real
-        // queue, so the verdict reflects the candidate under actual
-        // queueing, while the incumbent's cost for the same chunk is a
-        // free cost-model query used only as the comparator.
-        let wants_shadow = self
-            .machine
-            .as_mut()
-            .is_some_and(LifecycleMachine::should_shadow);
-        let mut served_latency_us = run.latency_us;
-        if wants_shadow {
-            let shadow_run = self
-                .candidate
-                .as_ref()
-                .map(|c| c.run(rt.model, rt.tables, &batch, rt.arch));
-            let split = self
-                .machine
-                .as_ref()
-                .is_some_and(LifecycleMachine::split_traffic);
-            if let (Some(machine), Some(result)) = (self.machine.as_mut(), shadow_run) {
-                match result {
-                    Ok(cand_run) => {
-                        let verdict =
-                            machine.observe_canary(now, &[run.latency_us], &[cand_run.latency_us]);
-                        if split {
-                            served_latency_us = cand_run.latency_us;
-                        }
-                        if verdict == CanaryVerdict::RollBack {
-                            self.candidate = None;
-                        }
-                        // Promote arrives as a lifecycle timer event at
-                        // this same timestamp.
-                    }
-                    Err(_) => {
-                        // A candidate that refuses traffic loses its
-                        // canary on the spot.
-                        machine.force_rollback(now);
-                        self.candidate = None;
-                    }
-                }
-            }
+        let mut work_us = [run.latency_us];
+        if let Some(lifecycle) = self.lifecycle.as_mut() {
+            lifecycle.shadow(now, &mut work_us, |_, candidate| {
+                candidate
+                    .run(rt.model, rt.tables, &batch, rt.arch)
+                    .map(|r| r.latency_us)
+            });
         }
         for &ri in &owners {
             self.remaining_chunks[ri] += 1;
@@ -600,7 +480,7 @@ impl ChunkSink for RunState<'_> {
         let job = self.next_job;
         self.next_job += 1;
         self.chunk_owners.insert(job, owners);
-        self.executor.submit(now, job, served_latency_us);
+        self.executor.submit(now, job, work_us[0]);
         self.note_starts();
         // Zero-cost chunks retire inside `submit`; collect them here so
         // their owners don't wait for a completion event that may never
@@ -613,14 +493,16 @@ impl ChunkSink for RunState<'_> {
     }
 
     fn finalize_empty(&mut self, ri: usize, now: f64) {
-        self.records[ri] = Some(RequestRecord {
-            id: self.requests[ri].id,
-            batch_size: 0,
-            arrival_us: self.arrival_eff_us[ri],
-            queue_us: 0.0,
-            service_us: 0.0,
-            done_us: now,
-            shed: ShedReason::None,
-        });
+        self.records[ri] = Some(
+            ShardedRequestRecord::zero_service(
+                self.requests[ri].id,
+                0,
+                self.arrival_eff_us[ri],
+                now,
+                ShedReason::None,
+                false,
+            )
+            .base,
+        );
     }
 }

@@ -24,7 +24,10 @@
 //! axis for a chunk, which is what keeps the all-gather well-defined. The
 //! shaping, SLO admission and drift trigger are the request front end in
 //! the crate's `admission` module, shared with the single-device runtime;
-//! this module only re-splits shaped chunks at `hot_shard_cap`.
+//! this module only re-splits shaped chunks at `hot_shard_cap`. Retune
+//! launch, canary shadowing, promotion and rollback are likewise shared:
+//! the engine lifecycle in the crate's `lifecycle` module owns every
+//! shard's engine slots.
 //!
 //! ## Faults and the degradation ladder
 //!
@@ -65,11 +68,11 @@ use recflex_data::{Batch, ModelConfig, Placement};
 use recflex_embedding::TableSet;
 use recflex_sim::{GpuArch, Interconnect};
 
-use crate::admission::{candidate_engine, sheds_at_admission, Batcher, ChunkSink, DriftWindow};
+use crate::admission::{sheds_at_admission, Batcher, ChunkSink, DriftWindow};
 use crate::drift::DriftConfig;
 use crate::executor::DeviceExecutor;
 use crate::faults::{PressureTracker, ResilienceConfig};
-use crate::lifecycle::{CanaryVerdict, LifecycleConfig, LifecycleMachine, TimerAction};
+use crate::lifecycle::{EngineLifecycle, LifecycleConfig, LifecycleMachine};
 use crate::request::Request;
 use crate::runtime::{ServeConfig, ServeError, TunedCandidate};
 use crate::stats::{
@@ -241,7 +244,7 @@ impl<'a> ShardedServeRuntime<'a> {
     fn run(
         &self,
         requests: &[Request],
-        mut retune: Option<&mut ShardedRetunePolicy<'_>>,
+        retune: Option<&mut ShardedRetunePolicy<'_>>,
         deadlines: Option<&[f64]>,
     ) -> Result<ShardedReport, ServeError> {
         let mut batcher = Batcher::new(self.config.policy)?;
@@ -283,19 +286,25 @@ impl<'a> ShardedServeRuntime<'a> {
             hedge_fires: 0,
             hedge_wins: 0,
             failovers: 0,
-            drift: retune
-                .as_ref()
-                .map(|r| DriftWindow::new(r.drift, self.model)),
-            machine: retune.as_ref().map(|r| {
-                LifecycleMachine::new(
-                    r.lifecycle.clone(),
-                    r.retune_latency_us,
-                    num_shards,
-                    r.stagger_us,
+            lifecycle: retune.map(|r| {
+                EngineLifecycle::new(
+                    DriftWindow::new(r.drift, self.model),
+                    LifecycleMachine::new(
+                        r.lifecycle.clone(),
+                        r.retune_latency_us,
+                        num_shards,
+                        r.stagger_us,
+                    ),
+                    // Each shard tunes on its slice of the recent traffic.
+                    Box::new(|s, recent| {
+                        let projected: Vec<Batch> = recent
+                            .iter()
+                            .map(|b| self.placement.project_batch(b, s))
+                            .collect();
+                        (r.retuner)(&self.lanes[s].model, &projected)
+                    }),
                 )
             }),
-            candidates: (0..num_shards).map(|_| None).collect(),
-            promoted: (0..num_shards).map(|_| None).collect(),
             pressure: PressureTracker::default(),
         };
 
@@ -331,9 +340,9 @@ impl<'a> ShardedServeRuntime<'a> {
                 .fold(None, |m: Option<f64>, t| Some(m.map_or(t, |m| m.min(t))));
             consider(gather_t, EventKind::Gather);
             consider(
-                st.machine
+                st.lifecycle
                     .as_ref()
-                    .and_then(LifecycleMachine::next_timer_us),
+                    .and_then(EngineLifecycle::next_timer_us),
                 EventKind::Lifecycle,
             );
             // Fault transitions matter only while the run is live; once
@@ -383,22 +392,8 @@ impl<'a> ShardedServeRuntime<'a> {
                     st.retire_gathers(now)?;
                 }
                 EventKind::Lifecycle => {
-                    let action = match st.machine.as_mut() {
-                        Some(m) => m.on_timer(now),
-                        None => TimerAction::Noop,
-                    };
-                    match action {
-                        TimerAction::PromoteAll => st.promote_all_shards()?,
-                        TimerAction::PromoteShard(s) => st.promote_shard(s)?,
-                        TimerAction::DropCandidate | TimerAction::RollBackAll => {
-                            st.roll_back_engines();
-                        }
-                        TimerAction::Retry => {
-                            if let Some(policy) = retune.as_deref_mut() {
-                                st.launch_attempt(now, policy);
-                            }
-                        }
-                        TimerAction::BeginCanary | TimerAction::Noop => {}
+                    if let Some(lifecycle) = st.lifecycle.as_mut() {
+                        lifecycle.on_timer(now)?;
                     }
                 }
                 EventKind::Fault => {
@@ -411,7 +406,7 @@ impl<'a> ShardedServeRuntime<'a> {
                     st.fire_deadlines(now)?;
                 }
                 EventKind::Arrival => {
-                    if st.admit(cursor, now, &mut retune, deadlines) {
+                    if st.admit(cursor, now, deadlines) {
                         let arrival_us = st.arrival_eff_us[cursor];
                         batcher.shape(cursor, &requests[cursor].batch, arrival_us, now, &mut st)?;
                     }
@@ -428,8 +423,8 @@ impl<'a> ShardedServeRuntime<'a> {
             stats.downtime_us = self.resilience.plan.downtime_us(s, now);
         }
         let (lifecycle, lifecycle_trace) = st
-            .machine
-            .map(LifecycleMachine::into_parts)
+            .lifecycle
+            .map(EngineLifecycle::into_parts)
             .unwrap_or_default();
         Ok(ShardedReport {
             records: st.records.into_iter().flatten().collect(),
@@ -560,16 +555,10 @@ struct ShardedRunState<'a> {
     hedge_fires: u64,
     hedge_wins: u64,
     failovers: u64,
-    /// The drift trigger over full admitted batches (retuning only).
-    drift: Option<DriftWindow>,
-    /// The lifecycle state machine (present iff retuning is on).
-    machine: Option<LifecycleMachine>,
-    /// Per-shard candidate engines from the current attempt, awaiting
-    /// canary verdict or staged promotion.
-    candidates: Vec<Option<Box<dyn Backend>>>,
-    /// Per-shard promoted engines. `None` means the lane's built-in
-    /// backend serves; run-local so `serve` stays `&self` and replayable.
-    promoted: Vec<Option<Box<dyn Backend>>>,
+    /// Drift trigger over full admitted batches, lifecycle machine and
+    /// per-shard engine slots (present iff retuning is on). Run-local, so
+    /// `serve` stays `&self` and replayable.
+    lifecycle: Option<EngineLifecycle<'a>>,
     /// Leaky-bucket state for the degradation ladder's pressure signal.
     pressure: PressureTracker,
 }
@@ -629,94 +618,9 @@ impl ShardedRunState<'_> {
         ladder.level(graded)
     }
 
-    /// The engine serving shard `s`: the promoted candidate if a
-    /// lifecycle promotion installed one, else the lane's own backend.
-    fn engine_of(&self, s: usize) -> &dyn Backend {
-        self.promoted[s]
-            .as_deref()
-            .unwrap_or(self.rt.lanes[s].backend.as_ref())
-    }
-
-    /// Start a retune attempt: draw the scripted outcome, and — when the
-    /// retuner actually produces engines — compile one candidate per
-    /// shard against that shard's slice of the recent traffic.
-    fn launch_attempt(&mut self, now: f64, policy: &mut ShardedRetunePolicy<'_>) {
-        let rt = self.rt;
-        let Some(machine) = self.machine.as_mut() else {
-            return;
-        };
-        let outcome = machine.begin_attempt(now);
-        let recent = self
-            .drift
-            .as_mut()
-            .map_or(&[][..], DriftWindow::begin_attempt);
-        for (s, slot) in self.candidates.iter_mut().enumerate() {
-            *slot = candidate_engine(outcome, machine, || {
-                let projected: Vec<Batch> = recent
-                    .iter()
-                    .map(|b| rt.placement.project_batch(b, s))
-                    .collect();
-                (policy.retuner)(&rt.lanes[s].model, &projected)
-            });
-        }
-    }
-
-    /// Install every shard's candidate at once (blind swap, or a canary
-    /// window that cleared with no stagger).
-    fn promote_all_shards(&mut self) -> Result<(), ServeError> {
-        for s in 0..self.candidates.len() {
-            self.promoted[s] = Some(
-                self.candidates[s]
-                    .take()
-                    .ok_or(ServeError::Internal("promotion without a candidate engine"))?,
-            );
-        }
-        self.rebase_monitor();
-        Ok(())
-    }
-
-    /// Install one shard's candidate during a staged rollout; the drift
-    /// monitor rebases only when the last shard lands.
-    fn promote_shard(&mut self, s: usize) -> Result<(), ServeError> {
-        self.promoted[s] = Some(
-            self.candidates[s]
-                .take()
-                .ok_or(ServeError::Internal("promotion without a candidate engine"))?,
-        );
-        if self.machine.as_ref().is_some_and(|m| !m.in_canary()) {
-            self.rebase_monitor();
-        }
-        Ok(())
-    }
-
-    /// Drop every candidate *and* every promoted engine: a mid-rollout
-    /// abort must restore the incumbent on shards already swapped.
-    fn roll_back_engines(&mut self) {
-        for c in &mut self.candidates {
-            *c = None;
-        }
-        for p in &mut self.promoted {
-            *p = None;
-        }
-    }
-
-    /// Re-anchor the drift monitor on the traffic the new engines were
-    /// tuned for.
-    fn rebase_monitor(&mut self) {
-        if let Some(drift) = self.drift.as_mut() {
-            drift.rebase_on_recent();
-        }
-    }
-
     /// SLO admission and drift monitoring for request `ri`. Returns
     /// whether it was admitted; a shed request is recorded here.
-    fn admit(
-        &mut self,
-        ri: usize,
-        now: f64,
-        retune: &mut Option<&mut ShardedRetunePolicy<'_>>,
-        deadlines: Option<&[f64]>,
-    ) -> bool {
+    fn admit(&mut self, ri: usize, now: f64, deadlines: Option<&[f64]>) -> bool {
         let (rt, req) = (self.rt, &self.requests[ri]);
         let arrival_us = if rt.config.closed_loop {
             now
@@ -737,34 +641,20 @@ impl ShardedRunState<'_> {
             } else {
                 ShedReason::Admission
             };
-            self.records[ri] = Some(ShardedRequestRecord {
-                base: RequestRecord {
-                    id: req.id,
-                    batch_size: req.batch.batch_size,
-                    arrival_us,
-                    queue_us: 0.0,
-                    service_us: 0.0,
-                    done_us: arrival_us,
-                    shed: reason,
-                },
-                device_us: 0.0,
-                gather_us: 0.0,
-                straggler_us: 0.0,
-                degraded: false,
-            });
+            self.records[ri] = Some(ShardedRequestRecord::zero_service(
+                req.id,
+                req.batch.batch_size,
+                arrival_us,
+                arrival_us,
+                reason,
+                false,
+            ));
             return false;
         }
 
         // Drift monitoring sees every admitted batch (full, pre-fan-out).
-        if let Some(policy) = retune.as_deref_mut() {
-            let machine = self.machine.as_mut();
-            if self
-                .drift
-                .as_mut()
-                .is_some_and(|d| d.observe(&req.batch, now, machine))
-            {
-                self.launch_attempt(now, policy);
-            }
+        if let Some(lifecycle) = self.lifecycle.as_mut() {
+            lifecycle.observe(&req.batch, now);
         }
         true
     }
@@ -785,70 +675,25 @@ impl ShardedRunState<'_> {
         for dev in 0..num_shards {
             let sub_batch = rt.placement.project_batch(&batch, dev);
             let lane = &rt.lanes[dev];
-            let run = self
-                .engine_of(dev)
-                .run(&lane.model, &lane.tables, &sub_batch, rt.arch)?;
+            let built = lane.backend.as_ref();
+            let engine = self
+                .lifecycle
+                .as_ref()
+                .map_or(built, |l| l.engine(dev, built));
+            let run = engine.run(&lane.model, &lane.tables, &sub_batch, rt.arch)?;
             work_us.push(run.latency_us);
             launches_of.push(run.kernel_launches);
         }
-
-        // Canary: candidate engines replay the same shard slices so
-        // their cost is observable. In shadow mode (the default) the
-        // results are never submitted to a device — accounted, not
-        // served. In split-traffic mode ([`CanaryConfig::split_traffic`])
-        // the canaried chunk is *served by the candidate* on its shard:
-        // the candidate's device time replaces the incumbent's in the
-        // real queue, so the verdict reflects actual queueing. Shards
-        // already promoted mid-rollout are skipped (their cost is now
-        // `work_us`).
-        let wants_shadow = self
-            .machine
-            .as_mut()
-            .is_some_and(LifecycleMachine::should_shadow);
-        if wants_shadow {
-            let start = self
-                .machine
-                .as_ref()
-                .map_or(0, LifecycleMachine::promoted_shards);
-            let split = self
-                .machine
-                .as_ref()
-                .is_some_and(LifecycleMachine::split_traffic);
-            let mut inc = vec![0.0; num_shards];
-            let mut cand = vec![0.0; num_shards];
-            let mut shadow_err = false;
-            for s in start..num_shards {
-                let Some(engine) = self.candidates[s].as_ref() else {
-                    continue;
-                };
-                let sub_batch = rt.placement.project_batch(&batch, s);
+        if let Some(lifecycle) = self.lifecycle.as_mut() {
+            lifecycle.shadow(now, &mut work_us, |s, candidate| {
                 let lane = &rt.lanes[s];
-                match engine.run(&lane.model, &lane.tables, &sub_batch, rt.arch) {
-                    Ok(r) => {
-                        inc[s] = work_us[s];
-                        cand[s] = r.latency_us;
-                        if split {
-                            work_us[s] = r.latency_us;
-                        }
-                    }
-                    Err(_) => {
-                        shadow_err = true;
-                        break;
-                    }
-                }
-            }
-            let verdict = match self.machine.as_mut() {
-                Some(machine) if shadow_err => {
-                    machine.force_rollback(now);
-                    CanaryVerdict::RollBack
-                }
-                Some(machine) => machine.observe_canary(now, &inc, &cand),
-                None => CanaryVerdict::Pending,
-            };
-            if verdict == CanaryVerdict::RollBack {
-                self.roll_back_engines();
-            }
+                let sub_batch = rt.placement.project_batch(&batch, s);
+                candidate
+                    .run(&lane.model, &lane.tables, &sub_batch, rt.arch)
+                    .map(|r| r.latency_us)
+            });
         }
+
         self.chunks.insert(
             chunk_id,
             ChunkState {
@@ -1413,21 +1258,14 @@ impl ChunkSink for ShardedRunState<'_> {
     }
 
     fn finalize_empty(&mut self, ri: usize, now: f64) {
-        self.records[ri] = Some(ShardedRequestRecord {
-            base: RequestRecord {
-                id: self.requests[ri].id,
-                batch_size: 0,
-                arrival_us: self.arrival_eff_us[ri],
-                queue_us: 0.0,
-                service_us: 0.0,
-                done_us: now,
-                shed: ShedReason::None,
-            },
-            device_us: 0.0,
-            gather_us: 0.0,
-            straggler_us: 0.0,
-            degraded: false,
-        });
+        self.records[ri] = Some(ShardedRequestRecord::zero_service(
+            self.requests[ri].id,
+            0,
+            self.arrival_eff_us[ri],
+            now,
+            ShedReason::None,
+            false,
+        ));
     }
 }
 
@@ -2077,14 +1915,23 @@ mod tests {
     fn drifting_stream(m: &ModelConfig) -> (ModelConfig, Vec<Request>) {
         let shifted = shift_distribution(m, 2.5, 0.0);
         let mut reqs = WorkloadSpec::long_tail(400.0).stream(m, 16, 5);
-        let mut tail = WorkloadSpec::long_tail(400.0).stream(&shifted, 24, 6);
+        append_stream(
+            &mut reqs,
+            WorkloadSpec::long_tail(400.0).stream(&shifted, 24, 6),
+        );
+        (shifted, reqs)
+    }
+
+    /// Continue `reqs` with `tail`: arrivals offset past the last one, ids
+    /// renumbered after the last one.
+    fn append_stream(reqs: &mut Vec<Request>, mut tail: Vec<Request>) {
         let t0 = reqs.last().map_or(0.0, |r| r.arrival_us);
+        let id0 = reqs.len() as u64;
         for (k, r) in tail.iter_mut().enumerate() {
             r.arrival_us += t0;
-            r.id = 16 + k as u64;
+            r.id = id0 + k as u64;
         }
         reqs.append(&mut tail);
-        (shifted, reqs)
     }
 
     fn drift_config() -> DriftConfig {
@@ -2159,6 +2006,82 @@ mod tests {
             );
             assert_eq!(sharded.flat(), single);
         }
+        Ok(())
+    }
+
+    /// A retune that fails after a promotion must leave the promoted
+    /// engine serving, exactly as on the single-device runtime — not put
+    /// the tier back on the engine it was built with.
+    #[test]
+    fn failed_retune_after_a_promotion_keeps_the_promoted_engine() -> Result<(), ServeError> {
+        let (m, arch) = setup();
+        let (shifted, mut reqs) = drifting_stream(&m);
+        // Back to the original mix, so drift fires again after the
+        // promotion rebased the monitor onto the shifted traffic.
+        for seed in [7, 8] {
+            append_stream(
+                &mut reqs,
+                WorkloadSpec::long_tail(400.0).stream(&m, 24, seed),
+            );
+        }
+        let config = ServeConfig {
+            streams: 2,
+            policy: BatchPolicy::Split { cap: 256 },
+            slo_deadline_us: None,
+            closed_loop: false,
+            hot_shard_cap: None,
+        };
+        let lifecycle = LifecycleConfig {
+            outcomes: OutcomePlan::scripted(vec![
+                RetuneOutcome::Regression { slowdown: 3.0 },
+                RetuneOutcome::CompileFail,
+                RetuneOutcome::CompileFail,
+                RetuneOutcome::CompileFail,
+            ]),
+            ..LifecycleConfig::default()
+        };
+        let mut sharded_policy = ShardedRetunePolicy {
+            drift: drift_config(),
+            retune_latency_us: 1_000.0,
+            stagger_us: 0.0,
+            lifecycle: lifecycle.clone(),
+            retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
+                TunedCandidate::from(
+                    Box::new(TorchRecBackend::compile(&shifted)) as Box<dyn Backend>
+                )
+            }),
+        };
+        let sharded = tier(&m, &arch, 1, config, Interconnect::nvlink())
+            .serve_with_retune(&reqs, &mut sharded_policy)?;
+        let backend = TorchRecBackend::compile(&m);
+        let tables = TableSet::for_model(&m);
+        let mut single_policy = RetunePolicy {
+            drift: drift_config(),
+            retune_latency_us: 1_000.0,
+            lifecycle,
+            retuner: Box::new(|_: &[Batch]| {
+                TunedCandidate::from(
+                    Box::new(TorchRecBackend::compile(&shifted)) as Box<dyn Backend>
+                )
+            }),
+        };
+        let single = ServeRuntime {
+            backend: &backend,
+            model: &m,
+            tables: &tables,
+            arch: &arch,
+            config,
+        }
+        .serve_with_retune(&reqs, &mut single_policy)?;
+        assert_eq!(
+            (
+                single.lifecycle.retunes_promoted,
+                single.lifecycle.retunes_failed
+            ),
+            (1, 3),
+            "the regressed engine is promoted, then every later attempt fails"
+        );
+        assert_eq!(sharded.flat(), single);
         Ok(())
     }
 

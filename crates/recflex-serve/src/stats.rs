@@ -183,6 +183,37 @@ pub struct ShardedRequestRecord {
     pub degraded: bool,
 }
 
+impl ShardedRequestRecord {
+    /// A request answered without device work — shed, resolved at the
+    /// fleet edge, or with nothing to run: zero queue, zero service and
+    /// no cross-shard terms, done at `done_us`. The single-device runtime
+    /// keeps its `base`.
+    pub(crate) fn zero_service(
+        id: u64,
+        batch_size: u32,
+        arrival_us: f64,
+        done_us: f64,
+        shed: ShedReason,
+        degraded: bool,
+    ) -> Self {
+        ShardedRequestRecord {
+            base: RequestRecord {
+                id,
+                batch_size,
+                arrival_us,
+                queue_us: 0.0,
+                service_us: 0.0,
+                done_us,
+                shed,
+            },
+            device_us: 0.0,
+            gather_us: 0.0,
+            straggler_us: 0.0,
+            degraded,
+        }
+    }
+}
+
 /// Aggregate view of one shard's lane over a run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ShardLaneStats {
