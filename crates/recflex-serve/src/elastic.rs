@@ -1,7 +1,7 @@
 //! Fleet-scale chaos: correlated class outages, health-monitored
 //! drain-and-migrate elasticity, and the fleet brownout ladder.
 //!
-//! PR 3 taught one [`ShardedServeRuntime`] to survive lane faults; this
+//! §8e taught one [`ShardedServeRuntime`] to survive lane faults; this
 //! module teaches the *fleet* to survive the failure mode a real device
 //! pool actually sees — a whole device class going dark at once — by
 //! composing three deterministic mechanisms:
@@ -24,14 +24,17 @@
 //!    lowest-priority scenarios, then answer outage-stranded traffic
 //!    with degraded zero-pooled edge records instead of shedding it.
 //!
-//! Determinism is structural, not incidental. A chaos run is three pure
-//! passes over the same demuxed streams: an *observe* pass (plain
-//! gate-filtered serving under the fault plans) whose records feed the
-//! health monitor; a *telemetry* pass with migrations applied whose
-//! records grade the brownout ladder; and the *final* pass with both
-//! applied. Each pass is a pure function of its inputs and members run
-//! sequentially in member order, so the composition replays bit-for-bit
-//! at any `RECFLEX_THREADS`. A trivial config short-circuits to
+//! Determinism is structural, not incidental. A chaos run is three runs
+//! of the fleet's one routing pass — the same pass plain serving runs —
+//! over the same demuxed streams, with different inputs: an *observe*
+//! pass (no migrations, no ladder: plain gate-filtered serving under the
+//! fault plans) whose records feed the health monitor; a *telemetry*
+//! pass with migrations applied whose records grade the brownout ladder;
+//! and the *final* pass with both applied. This module decides the
+//! migrations and grades the ladder; [`crate::fleet`] routes. Each pass
+//! is a pure function of its inputs and members run sequentially in
+//! member order, so the composition replays bit-for-bit at any
+//! `RECFLEX_THREADS`. A trivial config short-circuits to
 //! [`FleetRuntime::serve`] before touching any state — the no-fault
 //! path is byte-identical to the plain fleet by construction, and both
 //! invariants are gated by the `serving_fleet_chaos` experiment in CI.
@@ -44,14 +47,11 @@ use serde::Serialize;
 use recflex_data::FleetAssignment;
 
 use crate::faults::{FleetFaultPlan, PressureSignal, PressureTracker};
-use crate::fleet::{
-    edge_record, splice_edge_records, FleetModelOutcome, FleetReport, FleetRuntime,
-};
+use crate::fleet::{attains, FleetModelOutcome, FleetReport, FleetRuntime};
 use crate::lifecycle::StagedSchedule;
 use crate::sharded::ShardedServeRuntime;
-use crate::stats::{ShardedReport, ShardedRequestRecord, ShedReason};
 use crate::workload::FleetArrival;
-use crate::{Request, ServeError};
+use crate::ServeError;
 
 /// When is a fleet member unhealthy enough to drain?
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,8 +86,9 @@ pub struct ElasticityConfig {
     pub cost_matrix_us: Vec<Vec<f64>>,
 }
 
-/// The fleet brownout ladder: thresholds on graded fleet-wide
-/// attainment shortfall, in `[0, 1]`, exclusive and expected ascending.
+/// The fleet brownout ladder: exclusive thresholds on graded fleet-wide
+/// attainment shortfall, which must ascend (`tighten_above ≤ shed_above
+/// ≤ degrade_above`). A threshold above 1 is never crossed.
 ///
 /// * rung 1 (`> tighten_above`) — every member's [`QueryGate`] deadline
 ///   is multiplied by `gate_tighten`, rejecting the expensive tail at
@@ -114,11 +115,35 @@ pub struct FleetBrownoutConfig {
     pub gate_tighten: f64,
     /// Per-member scenario priorities (larger = more important), in
     /// member order. Rung 2 sheds the members at the minimum value;
-    /// empty (or all-equal) priorities disable rung-2 shedding.
+    /// empty (or all-equal) priorities disable rung-2 shedding. Any
+    /// other length is rejected.
     pub priorities: Vec<u32>,
 }
 
 impl FleetBrownoutConfig {
+    /// Reject a ladder that would silently misbehave on a fleet of
+    /// `members`: thresholds out of order, a gate multiplier outside
+    /// `(0, 1]` (NaN included), or priorities that are neither empty nor
+    /// one per member.
+    fn validate(&self, members: usize) -> Result<(), ServeError> {
+        if !(self.tighten_above <= self.shed_above && self.shed_above <= self.degrade_above) {
+            return Err(ServeError::Policy(
+                "brownout thresholds must ascend: tighten <= shed <= degrade",
+            ));
+        }
+        if !(self.gate_tighten > 0.0 && self.gate_tighten <= 1.0) {
+            return Err(ServeError::Policy(
+                "brownout gate_tighten must be in (0, 1]",
+            ));
+        }
+        if !self.priorities.is_empty() && self.priorities.len() != members {
+            return Err(ServeError::Policy(
+                "brownout priorities must be empty or one per member",
+            ));
+        }
+        Ok(())
+    }
+
     /// The rung at graded shortfall `p`.
     fn level(&self, p: f64) -> u8 {
         if p > self.degrade_above {
@@ -222,19 +247,10 @@ pub struct FleetChaosStats {
 /// A committed migration: drain on the staged cadence, resume on the
 /// target class after the handoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct MigrationPlan {
-    target: usize,
-    drain: StagedSchedule,
-    resume_us: f64,
-}
-
-/// Aggregate of one chaos serving pass.
-struct PassResult {
-    models: Vec<FleetModelOutcome>,
-    attained_total: u64,
-    offered_total: u64,
-    edge_degraded: u64,
-    drain_shed: u64,
+pub(crate) struct MigrationPlan {
+    pub(crate) target: usize,
+    pub(crate) drain: StagedSchedule,
+    pub(crate) resume_us: f64,
 }
 
 impl<'a> FleetRuntime<'a> {
@@ -283,6 +299,9 @@ impl<'a> FleetRuntime<'a> {
                 ));
             }
         }
+        if let Some(bw) = &chaos.brownout {
+            bw.validate(self.members.len())?;
+        }
 
         let streams = self.demux(arrivals)?;
 
@@ -303,37 +322,33 @@ impl<'a> FleetRuntime<'a> {
             0
         };
 
-        // Observe pass: plain gate-filtered serving under the fault
-        // plans feeds the per-member health monitor.
+        // Observe pass: no migrations, no ladder — plain gate-filtered
+        // serving under the fault plans feeds the per-member health
+        // monitor.
+        let no_migrations = vec![None; self.members.len()];
         let (migrations, records) = match &chaos.elasticity {
             Some(el) => {
-                let observed = self.serve_streams(&streams)?;
-                self.plan_migrations(&observed, chaos, el, epochs)
+                let observed = self.route(&streams, chaos, &no_migrations, &[], None)?;
+                self.plan_migrations(&observed.models, chaos, el, epochs)
             }
-            None => (vec![None; self.members.len()], Vec::new()),
+            None => (no_migrations, Vec::new()),
         };
 
-        // Telemetry pass: migrations applied, no brownout — its records
+        // Telemetry pass: migrations applied, no ladder — its records
         // grade the ladder, so rungs clear once a migration has
         // actually relieved the pressure.
         let ladder: Vec<u8> = match &chaos.brownout {
             Some(bw) => {
                 let telemetry =
-                    self.chaos_pass(&streams, chaos, &migrations, None, &mut rebuild)?;
+                    self.route(&streams, chaos, &migrations, &[], Some(&mut rebuild))?;
                 ladder_levels(&telemetry.models, chaos.epoch_us, epochs, bw)
             }
             None => vec![0; epochs],
         };
 
-        // Final pass: migrations and brownout both in effect.
-        let fin = self.chaos_pass(&streams, chaos, &migrations, Some(&ladder), &mut rebuild)?;
+        // Final pass: migrations and ladder both in effect.
+        let fin = self.route(&streams, chaos, &migrations, &ladder, Some(&mut rebuild))?;
 
-        let final_class: Vec<usize> = self
-            .members
-            .iter()
-            .enumerate()
-            .map(|(i, m)| migrations[i].map_or(m.class, |p| p.target))
-            .collect();
         let (answered, total) = fin.models.iter().fold((0u64, 0u64), |(a, t), m| {
             let shed = m.report.records.iter().filter(|r| r.base.is_shed()).count() as u64;
             let n = m.report.records.len() as u64;
@@ -356,7 +371,7 @@ impl<'a> FleetRuntime<'a> {
             .sum();
         let mut used = vec![0usize; self.classes.len()];
         for (i, m) in self.members.iter().enumerate() {
-            used[final_class[i]] += m.runtime.placement.num_devices;
+            used[fin.class_of[i]] += m.runtime.placement.num_devices;
         }
         let residual = self
             .classes
@@ -387,13 +402,7 @@ impl<'a> FleetRuntime<'a> {
             edge_degraded: fin.edge_degraded,
             drain_shed: fin.drain_shed,
         };
-        Ok(self.assemble(
-            fin.models,
-            &final_class,
-            fin.attained_total,
-            fin.offered_total,
-            Some(stats),
-        ))
+        Ok(self.assemble(fin.models, &fin.class_of, Some(stats)))
     }
 
     /// The elasticity controller: fold each member's observe-pass
@@ -403,7 +412,7 @@ impl<'a> FleetRuntime<'a> {
     /// order; each may migrate at most once.
     fn plan_migrations(
         &self,
-        observed: &FleetReport,
+        observed: &[FleetModelOutcome],
         chaos: &FleetChaosConfig,
         el: &ElasticityConfig,
         epochs: usize,
@@ -415,14 +424,17 @@ impl<'a> FleetRuntime<'a> {
         let mut plans = vec![None; self.members.len()];
         let mut records = Vec::new();
         for (i, member) in self.members.iter().enumerate() {
-            let Some(trigger_us) = health_trigger(
-                &observed.models[i].report.records,
-                member.slo_deadline_us,
-                chaos.epoch_us,
-                epochs,
-                &el.health,
-            ) else {
+            let Some(trigger_us) = health_trigger(&observed[i], chaos.epoch_us, epochs, &el.health)
+            else {
                 continue;
+            };
+            let record = |to: Option<usize>, resume_us, outcome: &str| MigrationRecord {
+                member: member.name.clone(),
+                from_class: self.classes[member.class].name.clone(),
+                to_class: to.map(|c| self.classes[c].name.clone()),
+                trigger_us,
+                resume_us,
+                outcome: outcome.into(),
             };
             let shards = member.runtime.placement.num_devices;
             let banned: Vec<bool> = (0..self.classes.len())
@@ -431,14 +443,7 @@ impl<'a> FleetRuntime<'a> {
             let Some(target) =
                 FleetAssignment::rehome(&el.cost_matrix_us[i], shards, &free, &banned)
             else {
-                records.push(MigrationRecord {
-                    member: member.name.clone(),
-                    from_class: self.classes[member.class].name.clone(),
-                    to_class: None,
-                    trigger_us,
-                    resume_us: None,
-                    outcome: "aborted-no-capacity".into(),
-                });
+                records.push(record(None, None, "aborted-no-capacity"));
                 continue;
             };
             let drain = StagedSchedule::new(trigger_us, shards, el.drain_stagger_us);
@@ -447,14 +452,7 @@ impl<'a> FleetRuntime<'a> {
             // an outage window on the target — the §8f rollout's
             // abort-on-regression check, applied to class health.
             if chaos.faults.outage_overlaps(target, trigger_us, resume_us) {
-                records.push(MigrationRecord {
-                    member: member.name.clone(),
-                    from_class: self.classes[member.class].name.clone(),
-                    to_class: Some(self.classes[target].name.clone()),
-                    trigger_us,
-                    resume_us: None,
-                    outcome: "aborted-target-outage".into(),
-                });
+                records.push(record(Some(target), None, "aborted-target-outage"));
                 continue;
             }
             free[target] -= shards as isize;
@@ -464,148 +462,47 @@ impl<'a> FleetRuntime<'a> {
                 drain,
                 resume_us,
             });
-            records.push(MigrationRecord {
-                member: member.name.clone(),
-                from_class: self.classes[member.class].name.clone(),
-                to_class: Some(self.classes[target].name.clone()),
-                trigger_us,
-                resume_us: Some(resume_us),
-                outcome: "completed".into(),
-            });
+            records.push(record(Some(target), Some(resume_us), "completed"));
         }
         (plans, records)
     }
+}
 
-    /// One chaos serving pass: every request is resolved at the fleet
-    /// edge (brownout rungs, drain windows, gates) or routed to the
-    /// member's pre-/post-migration runtime; segment reports merge back
-    /// into one per-member report.
-    fn chaos_pass<F>(
-        &self,
-        streams: &[Vec<Request>],
-        chaos: &FleetChaosConfig,
-        migrations: &[Option<MigrationPlan>],
-        ladder: Option<&[u8]>,
-        rebuild: &mut F,
-    ) -> Result<PassResult, ServeError>
-    where
-        F: FnMut(usize, usize) -> ShardedServeRuntime<'a>,
-    {
-        let bw = chaos.brownout.as_ref();
-        let prio = bw.map(|b| b.priorities.as_slice()).unwrap_or(&[]);
-        let (prio_min, prio_max) = prio
-            .iter()
-            .fold((u32::MAX, u32::MIN), |(lo, hi), &p| (lo.min(p), hi.max(p)));
-        let shed_priorities = prio.len() == self.members.len() && prio_min < prio_max;
-        let rung_at = |t: f64| -> u8 {
-            match ladder {
-                Some(l) if chaos.epoch_us > 0.0 => {
-                    let k = (t / chaos.epoch_us) as usize;
-                    l.get(k).copied().unwrap_or(0)
-                }
-                _ => 0,
-            }
-        };
+/// One observation epoch of a record stream, binned by arrival time.
+struct Epoch {
+    /// When the epoch closes, µs.
+    end_us: f64,
+    /// SLO-attainment shortfall over the epoch's arrivals; `None` when
+    /// it saw none.
+    shortfall: Option<f64>,
+    /// Worst `queue_us` among the epoch's arrivals.
+    backlog_us: f64,
+}
 
-        let mut models = Vec::with_capacity(self.members.len());
-        let mut attained_total = 0u64;
-        let mut offered_total = 0u64;
-        let mut edge_degraded = 0u64;
-        let mut drain_shed = 0u64;
-        for (i, (member, stream)) in self.members.iter().zip(streams).enumerate() {
-            let mig = migrations[i];
-            let offered = stream.len() as u64;
-            let mut pre = Vec::new();
-            let mut post = Vec::new();
-            let mut edge: Vec<ShardedRequestRecord> = Vec::new();
-            for r in stream {
-                let t = r.arrival_us;
-                let rung = rung_at(t);
-                // Rung 2: the lowest-priority scenarios are shed whole.
-                if rung >= 2 && shed_priorities && prio[i] == prio_min {
-                    edge.push(edge_record(r, ShedReason::Admission, false));
-                    continue;
-                }
-                // Drain/handoff window: neither runtime can take the
-                // request. Rung 3 answers it degraded; otherwise shed.
-                if let Some(p) = mig {
-                    if t >= p.drain.start_us && t < p.resume_us {
-                        if rung >= 3 {
-                            edge.push(edge_record(r, ShedReason::None, true));
-                            edge_degraded += 1;
-                        } else {
-                            edge.push(edge_record(r, ShedReason::Admission, false));
-                            drain_shed += 1;
-                        }
-                        continue;
-                    }
-                }
-                // Rung 3: traffic stranded on a class inside an active
-                // outage window is answered degraded at the edge.
-                let class_now = mig
-                    .filter(|p| t >= p.resume_us)
-                    .map_or(member.class, |p| p.target);
-                if rung >= 3 && chaos.faults.outage_active(class_now, t) {
-                    edge.push(edge_record(r, ShedReason::None, true));
-                    edge_degraded += 1;
-                    continue;
-                }
-                // Admission gate, tightened at rung ≥ 1.
-                if let Some(g) = member.gate {
-                    let tighten = match bw {
-                        Some(b) if rung >= 1 => b.gate_tighten.clamp(0.0, 1.0),
-                        _ => 1.0,
-                    };
-                    let admits =
-                        r.batch.batch_size as f64 * g.cost_per_sample_us <= g.deadline_us * tighten;
-                    if !admits {
-                        if rung >= 3 {
-                            edge.push(edge_record(r, ShedReason::None, true));
-                            edge_degraded += 1;
-                        } else {
-                            edge.push(edge_record(r, ShedReason::Admission, false));
-                        }
-                        continue;
-                    }
-                }
-                match mig {
-                    Some(p) if t >= p.resume_us => post.push(r.clone()),
-                    _ => pre.push(r.clone()),
-                }
-            }
-            let gate_shed = edge
-                .iter()
-                .filter(|e| e.base.shed == ShedReason::Admission)
-                .count() as u64;
-            let pre_report = member.runtime.serve(&pre)?;
-            let mut report = match mig {
-                Some(p) => {
-                    let mut landed = rebuild(i, p.target);
-                    landed.resilience.plan =
-                        chaos
-                            .faults
-                            .member_plan(i, p.target, landed.placement.num_devices);
-                    let post_report = landed.serve(&post)?;
-                    ShardedReport::merge(vec![pre_report, post_report])
-                }
-                None => pre_report,
-            };
-            splice_edge_records(&mut report, edge);
-            let final_class = mig.map_or(member.class, |p| p.target);
-            let (outcome, attained) =
-                self.finish_member(member, final_class, offered, gate_shed, report);
-            attained_total += attained;
-            offered_total += offered;
-            models.push(outcome);
-        }
-        Ok(PassResult {
-            models,
-            attained_total,
-            offered_total,
-            edge_degraded,
-            drain_shed,
-        })
+/// Bin every record of `models` into `epochs` epochs of `epoch_us` by
+/// arrival (late arrivals land in the last epoch).
+fn epoch_bins(models: &[FleetModelOutcome], epoch_us: f64, epochs: usize) -> Vec<Epoch> {
+    if epochs == 0 {
+        return Vec::new();
     }
+    let mut offered = vec![0u64; epochs];
+    let mut attained = vec![0u64; epochs];
+    let mut backlog = vec![0.0f64; epochs];
+    for m in models {
+        for r in &m.report.records {
+            let k = ((r.base.arrival_us / epoch_us) as usize).min(epochs - 1);
+            offered[k] += 1;
+            attained[k] += u64::from(attains(r, m.slo_deadline_us));
+            backlog[k] = backlog[k].max(r.base.queue_us);
+        }
+    }
+    (0..epochs)
+        .map(|k| Epoch {
+            end_us: (k + 1) as f64 * epoch_us,
+            shortfall: (offered[k] > 0).then(|| 1.0 - attained[k] as f64 / offered[k] as f64),
+            backlog_us: backlog[k],
+        })
+        .collect()
 }
 
 /// Fold one member's records through its health monitor and return the
@@ -613,45 +510,20 @@ impl<'a> FleetRuntime<'a> {
 /// crosses its threshold — the drain trigger. Empty epochs (no
 /// arrivals) are skipped, not observed as healthy.
 fn health_trigger(
-    records: &[ShardedRequestRecord],
-    slo_deadline_us: Option<f64>,
+    member: &FleetModelOutcome,
     epoch_us: f64,
     epochs: usize,
     health: &HealthPolicy,
 ) -> Option<f64> {
-    if epochs == 0 || epoch_us <= 0.0 {
-        return None;
-    }
-    let mut offered = vec![0u64; epochs];
-    let mut attained = vec![0u64; epochs];
-    let mut backlog = vec![0.0f64; epochs];
-    for r in records {
-        let k = ((r.base.arrival_us / epoch_us) as usize).min(epochs - 1);
-        offered[k] += 1;
-        let ok = !r.base.is_shed() && slo_deadline_us.is_none_or(|d| r.base.latency_us() <= d);
-        if ok {
-            attained[k] += 1;
-        }
-        backlog[k] = backlog[k].max(r.base.queue_us);
-    }
     let mut shortfall_p = PressureTracker::default();
     let mut backlog_p = PressureTracker::default();
-    for k in 0..epochs {
-        if offered[k] == 0 {
-            continue;
-        }
-        let now = (k + 1) as f64 * epoch_us;
-        let s = shortfall_p.observe(
-            now,
-            1.0 - attained[k] as f64 / offered[k] as f64,
-            health.signal,
-        );
-        let b = backlog_p.observe(now, backlog[k], health.signal);
-        if s > health.max_shortfall || b > health.max_backlog_us {
-            return Some(now);
-        }
-    }
-    None
+    epoch_bins(std::slice::from_ref(member), epoch_us, epochs)
+        .into_iter()
+        .find_map(|e| {
+            let s = shortfall_p.observe(e.end_us, e.shortfall?, health.signal);
+            let b = backlog_p.observe(e.end_us, e.backlog_us, health.signal);
+            (s > health.max_shortfall || b > health.max_backlog_us).then_some(e.end_us)
+        })
 }
 
 /// Grade the fleet brownout ladder from a telemetry pass: per-epoch
@@ -664,29 +536,13 @@ fn ladder_levels(
     epochs: usize,
     bw: &FleetBrownoutConfig,
 ) -> Vec<u8> {
-    if epochs == 0 || epoch_us <= 0.0 {
-        return Vec::new();
-    }
-    let mut offered = vec![0u64; epochs];
-    let mut attained = vec![0u64; epochs];
-    for m in models {
-        for r in &m.report.records {
-            let k = ((r.base.arrival_us / epoch_us) as usize).min(epochs - 1);
-            offered[k] += 1;
-            let ok =
-                !r.base.is_shed() && m.slo_deadline_us.is_none_or(|d| r.base.latency_us() <= d);
-            if ok {
-                attained[k] += 1;
-            }
-        }
-    }
     let mut tracker = PressureTracker::default();
     let mut p = 0.0f64;
-    (0..epochs)
-        .map(|k| {
-            if offered[k] > 0 {
-                let now = (k + 1) as f64 * epoch_us;
-                p = tracker.observe(now, 1.0 - attained[k] as f64 / offered[k] as f64, bw.signal);
+    epoch_bins(models, epoch_us, epochs)
+        .into_iter()
+        .map(|e| {
+            if let Some(s) = e.shortfall {
+                p = tracker.observe(e.end_us, s, bw.signal);
             }
             bw.level(p)
         })
@@ -697,7 +553,7 @@ fn ladder_levels(
 mod tests {
     use super::*;
     use crate::faults::{ClassFaultKind, ClassFaultWindow, FleetFaultSpec};
-    use crate::fleet::{DeviceClass, FleetMember};
+    use crate::fleet::{DeviceClass, FleetMember, QueryGate};
     use crate::runtime::{BatchPolicy, ServeConfig};
     use crate::workload::{FleetWorkload, ScenarioSpec, TrafficShape};
     use crate::WorkloadSpec;
@@ -857,6 +713,124 @@ mod tests {
             fleet.members[0].runtime.resilience.plan.is_empty(),
             "rejected input must not install fault plans"
         );
+    }
+
+    fn brownout() -> FleetBrownoutConfig {
+        FleetBrownoutConfig {
+            signal: PressureSignal::Instantaneous,
+            tighten_above: 0.01,
+            shed_above: 0.03,
+            degrade_above: 0.05,
+            gate_tighten: 1.0,
+            priorities: Vec::new(),
+        }
+    }
+
+    /// A malformed brownout ladder is a policy error, raised before any
+    /// fault plan is installed.
+    fn assert_brownout_rejected(brownout: FleetBrownoutConfig) {
+        let model = ModelPreset::A.scaled(0.02);
+        let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
+        let merged = FleetWorkload {
+            scenarios: vec![scenario("a", 4, 1)],
+            seed: 42,
+        }
+        .merged(&[&model]);
+        let mut cfg = chaos_with_outage(false);
+        cfg.brownout = Some(brownout);
+        let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
+        let result = fleet.serve_chaos(&merged, &cfg, |_, _| panic!("must not rebuild"));
+        assert!(matches!(result, Err(ServeError::Policy(_))));
+        assert!(
+            fleet.members[0].runtime.resilience.plan.is_empty(),
+            "rejected input must not install fault plans"
+        );
+    }
+
+    #[test]
+    fn brownout_priorities_not_one_per_member_are_a_policy_error() {
+        assert_brownout_rejected(FleetBrownoutConfig {
+            priorities: vec![0, 5],
+            ..brownout()
+        });
+    }
+
+    #[test]
+    fn brownout_gate_tighten_above_one_is_a_policy_error() {
+        assert_brownout_rejected(FleetBrownoutConfig {
+            gate_tighten: 1.5,
+            ..brownout()
+        });
+    }
+
+    #[test]
+    fn brownout_gate_tighten_nan_is_a_policy_error() {
+        assert_brownout_rejected(FleetBrownoutConfig {
+            gate_tighten: f64::NAN,
+            ..brownout()
+        });
+    }
+
+    #[test]
+    fn brownout_thresholds_out_of_order_are_a_policy_error() {
+        assert_brownout_rejected(FleetBrownoutConfig {
+            shed_above: 0.08,
+            ..brownout()
+        });
+    }
+
+    /// A non-trivial chaos config that never fires — empty fault plan,
+    /// no elasticity, an unreachable brownout ladder — routes every
+    /// request down the pass's rung-0 route, which is the plain path:
+    /// the gate rejects exactly what it rejects under `serve`.
+    #[test]
+    fn unfired_chaos_routes_like_plain_serve() -> Result<(), ServeError> {
+        let model = ModelPreset::A.scaled(0.02);
+        let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
+        let merged = FleetWorkload {
+            scenarios: vec![scenario("a", 24, 1)],
+            seed: 42,
+        }
+        .merged(&[&model]);
+        let sizes: Vec<u32> = merged.iter().map(|a| a.request.batch.batch_size).collect();
+        let gate = QueryGate {
+            cost_per_sample_us: 1.0,
+            deadline_us: sizes.iter().copied().max().unwrap_or(0) as f64 - 0.5,
+        };
+        assert!(
+            sizes.iter().any(|&s| gate.admits(s)) && sizes.iter().any(|&s| !gate.admits(s)),
+            "the gate must reject part of the stream"
+        );
+        let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
+        fleet.members[0].gate = Some(gate);
+        let plain = fleet.serve(&merged)?;
+        let cfg = FleetChaosConfig {
+            faults: FleetFaultPlan::none(1),
+            epoch_us: EPOCH_US,
+            elasticity: None,
+            // Shortfall never exceeds 1: no rung is ever reached. Were
+            // one reached, the halved gate would change what it rejects.
+            brownout: Some(FleetBrownoutConfig {
+                tighten_above: 2.0,
+                shed_above: 2.0,
+                degrade_above: 2.0,
+                gate_tighten: 0.5,
+                ..brownout()
+            }),
+        };
+        assert!(!cfg.is_trivial());
+        let chaotic = fleet.serve_chaos(&merged, &cfg, |_, _| panic!("no elasticity"))?;
+        assert_eq!(
+            serde_json::to_string(&plain.models).ok(),
+            serde_json::to_string(&chaotic.models).ok(),
+            "rung-0 routing must reproduce plain serving byte-for-byte"
+        );
+        assert_eq!(
+            serde_json::to_string(&plain.classes).ok(),
+            serde_json::to_string(&chaotic.classes).ok()
+        );
+        assert!(chaos_stats(&chaotic)?.ladder.iter().all(|&l| l == 0));
+        Ok(())
     }
 
     #[test]

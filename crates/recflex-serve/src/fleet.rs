@@ -15,6 +15,15 @@
 //!   enters the model's runtime,
 //! - per-model SLO deadlines and a fleet-wide attainment roll-up.
 //!
+//! Routing: one per-member fleet pass is the only code that sends an
+//! offered request to a member runtime. It resolves each request at the
+//! fleet edge (brownout rung, drain window, outage strand, gate) or
+//! hands it to the member's pre- or post-migration runtime. Plain
+//! serving runs that pass with no migrations and no brownout ladder —
+//! every request sits at rung 0, so only the gate can turn it away —
+//! and the three passes of a [chaos run](crate::elastic) run the same
+//! pass with their migrations and ladder.
+//!
 //! Determinism: the fleet runs each member runtime on its demuxed slice
 //! of the merged trace, in member order. Every member run is itself a
 //! pure function of its inputs, so the fleet report is bit-reproducible
@@ -25,7 +34,7 @@
 
 use serde::Serialize;
 
-use crate::elastic::FleetChaosStats;
+use crate::elastic::{FleetChaosConfig, FleetChaosStats, MigrationPlan};
 use crate::lifecycle::EngineTuning;
 use crate::sharded::ShardedServeRuntime;
 use crate::stats::{ShardedReport, ShardedRequestRecord, ShedReason};
@@ -40,7 +49,7 @@ use recflex_sim::GpuArch;
 /// — zero queue, zero service, done at arrival. Keeps edge decisions
 /// visible in the same record stream the runtimes produce, so
 /// availability and shed-reason accounting see every offered request.
-pub(crate) fn edge_record(req: &Request, shed: ShedReason, degraded: bool) -> ShardedRequestRecord {
+fn edge_record(req: &Request, shed: ShedReason, degraded: bool) -> ShardedRequestRecord {
     ShardedRequestRecord::zero_service(
         req.id,
         req.batch.batch_size,
@@ -53,7 +62,7 @@ pub(crate) fn edge_record(req: &Request, shed: ShedReason, degraded: bool) -> Sh
 
 /// Splice edge-synthesized records into a member report and restore one
 /// arrival order over the combined stream.
-pub(crate) fn splice_edge_records(report: &mut ShardedReport, edge: Vec<ShardedRequestRecord>) {
+fn splice_edge_records(report: &mut ShardedReport, edge: Vec<ShardedRequestRecord>) {
     if edge.is_empty() {
         return;
     }
@@ -64,6 +73,31 @@ pub(crate) fn splice_edge_records(report: &mut ShardedReport, edge: Vec<ShardedR
             .total_cmp(&b.base.arrival_us)
             .then(a.base.id.cmp(&b.base.id))
     });
+}
+
+/// Does `record` attain its SLO: answered (completed, or degraded at
+/// the edge or in its tier) and, under a deadline, done within it?
+pub(crate) fn attains(record: &ShardedRequestRecord, slo_deadline_us: Option<f64>) -> bool {
+    !record.base.is_shed() && slo_deadline_us.is_none_or(|d| record.base.latency_us() <= d)
+}
+
+/// Requests in `report` that attain `slo_deadline_us`.
+fn attained(report: &ShardedReport, slo_deadline_us: Option<f64>) -> u64 {
+    report
+        .records
+        .iter()
+        .filter(|r| attains(r, slo_deadline_us))
+        .count() as u64
+}
+
+/// The attained share of `offered` requests (1.0 when nothing was
+/// offered).
+fn attainment(attained: u64, offered: u64) -> f64 {
+    if offered == 0 {
+        1.0
+    } else {
+        attained as f64 / offered as f64
+    }
 }
 
 /// A pool of identical simulated devices — one heterogeneity bucket.
@@ -92,6 +126,16 @@ impl QueryGate {
     /// Accept a query of `batch_size` pooled samples?
     pub fn admits(&self, batch_size: u32) -> bool {
         batch_size as f64 * self.cost_per_sample_us <= self.deadline_us
+    }
+
+    /// The gate with its deadline scaled by `factor` — the fleet
+    /// brownout's rung-1 tightening. At a factor of 1.0 this is the gate
+    /// itself, bit for bit.
+    pub(crate) fn tightened(self, factor: f64) -> QueryGate {
+        QueryGate {
+            deadline_us: self.deadline_us * factor,
+            ..self
+        }
     }
 }
 
@@ -139,7 +183,10 @@ pub struct FleetModelOutcome {
     pub slo_deadline_us: Option<f64>,
     /// Requests offered to this model, including gate-shed ones.
     pub requests_offered: u64,
-    /// Requests shed by the admission gate before entering the runtime.
+    /// Requests shed at the fleet edge — every [`ShedReason::Admission`]
+    /// edge record — before entering the runtime: admission-gate
+    /// rejections and, under chaos, also brownout rung-2 priority sheds
+    /// and requests shed inside a drain/handoff window.
     pub gate_shed: u64,
     /// Fraction of offered requests that completed within the SLO.
     pub slo_attainment: f64,
@@ -185,6 +232,19 @@ pub struct FleetReport {
     pub chaos: Option<FleetChaosStats>,
 }
 
+/// One fleet serving pass, rolled up.
+pub(crate) struct PassResult {
+    /// Per-member outcomes, in member order.
+    pub(crate) models: Vec<FleetModelOutcome>,
+    /// Each member's device class at the end of the pass: its pinned
+    /// class, or its landing class after a migration.
+    pub(crate) class_of: Vec<usize>,
+    /// Requests answered with degraded zero-pooled edge records.
+    pub(crate) edge_degraded: u64,
+    /// Requests shed because they arrived inside a drain/handoff window.
+    pub(crate) drain_shed: u64,
+}
+
 impl<'a> FleetRuntime<'a> {
     /// Serve a merged fleet trace: demux by scenario (preserving the
     /// merged order, which is already per-scenario arrival order) and
@@ -210,98 +270,163 @@ impl<'a> FleetRuntime<'a> {
     /// Serve pre-demuxed per-member request streams. `streams[i]` goes
     /// to member `i` after its admission gate; gate rejections surface
     /// as [`ShedReason::Admission`] records in the member report, so
-    /// every offered request has a record.
+    /// every offered request has a record. This is the fleet pass with
+    /// no migrations and no brownout ladder.
     pub fn serve_streams(&self, streams: &[Vec<Request>]) -> Result<FleetReport, ServeError> {
+        let no_migrations = vec![None; self.members.len()];
+        let pass = self.route(
+            streams,
+            &FleetChaosConfig::default(),
+            &no_migrations,
+            &[],
+            None,
+        )?;
+        Ok(self.assemble(pass.models, &pass.class_of, None))
+    }
+
+    /// The fleet serving pass: the one place an offered request is
+    /// routed. Each request of member `i` is resolved at the fleet edge —
+    /// shed whole at brownout rung 2 when its scenario has the lowest
+    /// priority, shed (or, at rung 3, answered degraded) inside the
+    /// member's drain/handoff window, on a class in an active outage at
+    /// rung 3, or by the admission gate (tightened at rung ≥ 1) — or sent
+    /// to the member's pre- or post-migration runtime, whose segment
+    /// reports merge into one per-member report.
+    ///
+    /// `ladder[k]` is the rung in effect over epoch `k` of
+    /// `chaos.epoch_us`, and rung 0 past its end, so an empty ladder
+    /// never browns out. `rebuild(m, c)` builds member `m` against class
+    /// `c` for a migration; a migration without one is an internal error.
+    pub(crate) fn route(
+        &self,
+        streams: &[Vec<Request>],
+        chaos: &FleetChaosConfig,
+        migrations: &[Option<MigrationPlan>],
+        ladder: &[u8],
+        mut rebuild: Option<&mut dyn FnMut(usize, usize) -> ShardedServeRuntime<'a>>,
+    ) -> Result<PassResult, ServeError> {
         if streams.len() != self.members.len() {
             return Err(ServeError::Policy(
                 "fleet needs one request stream per member",
             ));
         }
+        let bw = chaos.brownout.as_ref();
+        let prio = bw.map_or(&[][..], |b| b.priorities.as_slice());
+        let (prio_min, prio_max) = prio
+            .iter()
+            .fold((u32::MAX, u32::MIN), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        // Empty or all-equal priorities leave rung 2 nothing to shed.
+        let shed_priorities = prio_min < prio_max;
+
         let mut models = Vec::with_capacity(self.members.len());
-        let mut attained_total = 0u64;
-        let mut offered_total = 0u64;
-        for (member, stream) in self.members.iter().zip(streams) {
-            let offered = stream.len() as u64;
-            let (admitted, rejected): (Vec<Request>, Vec<Request>) = match member.gate {
-                None => (stream.clone(), Vec::new()),
-                Some(gate) => stream
-                    .iter()
-                    .cloned()
-                    .partition(|r| gate.admits(r.batch.batch_size)),
+        let mut class_of = Vec::with_capacity(self.members.len());
+        let (mut edge_degraded, mut drain_shed) = (0u64, 0u64);
+        for (i, (member, stream)) in self.members.iter().zip(streams).enumerate() {
+            let mig = migrations[i];
+            let (mut pre, mut post, mut edge) = (Vec::new(), Vec::new(), Vec::new());
+            for r in stream {
+                let t = r.arrival_us;
+                let rung = ladder
+                    .get((t / chaos.epoch_us) as usize)
+                    .copied()
+                    .unwrap_or(0);
+                let landed = mig.filter(|p| t >= p.resume_us);
+                let draining = mig.is_some_and(|p| t >= p.drain.start_us && t < p.resume_us);
+                let class_now = landed.map_or(member.class, |p| p.target);
+                let stranded = rung >= 3 && chaos.faults.outage_active(class_now, t);
+                let tighten = match bw {
+                    Some(b) if rung >= 1 => b.gate_tighten,
+                    _ => 1.0,
+                };
+                let gated = member
+                    .gate
+                    .is_some_and(|g| !g.tightened(tighten).admits(r.batch.batch_size));
+                if rung >= 2 && shed_priorities && prio[i] == prio_min {
+                    edge.push(edge_record(r, ShedReason::Admission, false));
+                } else if draining || stranded || gated {
+                    // Rung 3 answers what neither runtime may take
+                    // degraded; below it, the request is shed.
+                    if rung >= 3 {
+                        edge.push(edge_record(r, ShedReason::None, true));
+                    } else {
+                        edge.push(edge_record(r, ShedReason::Admission, false));
+                        drain_shed += u64::from(draining);
+                    }
+                } else if landed.is_some() {
+                    post.push(r.clone());
+                } else {
+                    pre.push(r.clone());
+                }
+            }
+            edge_degraded += edge.iter().filter(|e| e.degraded).count() as u64;
+            let gate_shed = edge
+                .iter()
+                .filter(|e| e.base.shed == ShedReason::Admission)
+                .count() as u64;
+            let mut report = member.runtime.serve(&pre)?;
+            let class = match mig {
+                None => member.class,
+                Some(p) => {
+                    let rebuild = rebuild
+                        .as_deref_mut()
+                        .ok_or(ServeError::Internal("fleet migration without a rebuild"))?;
+                    let mut landed = rebuild(i, p.target);
+                    landed.resilience.plan =
+                        chaos
+                            .faults
+                            .member_plan(i, p.target, landed.placement.num_devices);
+                    report = ShardedReport::merge(vec![report, landed.serve(&post)?]);
+                    p.target
+                }
             };
-            let gate_shed = rejected.len() as u64;
-            let mut report = member.runtime.serve(&admitted)?;
-            splice_edge_records(
-                &mut report,
-                rejected
-                    .iter()
-                    .map(|r| edge_record(r, ShedReason::Admission, false))
-                    .collect(),
-            );
-            let (outcome, attained) =
-                self.finish_member(member, member.class, offered, gate_shed, report);
-            attained_total += attained;
-            offered_total += offered;
-            models.push(outcome);
+            splice_edge_records(&mut report, edge);
+            models.push(self.finish_member(member, class, stream.len() as u64, gate_shed, report));
+            class_of.push(class);
         }
-        let class_of: Vec<usize> = self.members.iter().map(|m| m.class).collect();
-        Ok(self.assemble(models, &class_of, attained_total, offered_total, None))
+        Ok(PassResult {
+            models,
+            class_of,
+            edge_degraded,
+            drain_shed,
+        })
     }
 
-    /// Roll one member's finished report up into its fleet outcome,
-    /// returning the outcome and the member's attained-request count.
+    /// Roll one member's finished report up into its fleet outcome.
     /// `class` is the device class the outcome is attributed to — the
-    /// member's pinned class on the plain path, its *final* class after
-    /// a chaos-path migration.
-    pub(crate) fn finish_member(
+    /// member's pinned class, or its landing class after a migration.
+    fn finish_member(
         &self,
         member: &FleetMember<'a>,
         class: usize,
         offered: u64,
         gate_shed: u64,
         report: ShardedReport,
-    ) -> (FleetModelOutcome, u64) {
-        let attained = report
-            .records
-            .iter()
-            .filter(|r| {
-                !r.base.is_shed()
-                    && member
-                        .slo_deadline_us
-                        .is_none_or(|d| r.base.latency_us() <= d)
-            })
-            .count() as u64;
-        let outcome = FleetModelOutcome {
+    ) -> FleetModelOutcome {
+        let attained = attained(&report, member.slo_deadline_us);
+        FleetModelOutcome {
             name: member.name.clone(),
             class: self.classes[class].name.clone(),
             shards: member.runtime.placement.num_devices,
             slo_deadline_us: member.slo_deadline_us,
             requests_offered: offered,
             gate_shed,
-            slo_attainment: if offered == 0 {
-                1.0
-            } else {
-                attained as f64 / offered as f64
-            },
+            slo_attainment: attainment(attained, offered),
             p50_us: report.percentile_us(0.50),
             p99_us: report.percentile_us(0.99),
             tuning: member.tuning,
             report,
-        };
-        (outcome, attained)
+        }
     }
 
     /// Assemble the fleet report from finished member outcomes.
     /// `class_of[i]` attributes member `i`'s busy time to a device class
-    /// — the pinned classes on the plain path (where this reproduces the
-    /// historical arithmetic branch-for-branch), the final post-migration
-    /// classes on the chaos path.
+    /// — the pinned classes on the plain path, the final post-migration
+    /// classes on the chaos path. Fleet-wide attainment is recounted
+    /// from the member reports.
     pub(crate) fn assemble(
         &self,
         models: Vec<FleetModelOutcome>,
         class_of: &[usize],
-        attained_total: u64,
-        offered_total: u64,
         chaos: Option<FleetChaosStats>,
     ) -> FleetReport {
         let makespan_us = models
@@ -339,15 +464,16 @@ impl<'a> FleetRuntime<'a> {
                 }
             })
             .collect();
+        let attained_total = models
+            .iter()
+            .map(|m| attained(&m.report, m.slo_deadline_us))
+            .sum();
+        let offered_total = models.iter().map(|m| m.requests_offered).sum();
         FleetReport {
             models,
             classes,
             makespan_us,
-            slo_attainment: if offered_total == 0 {
-                1.0
-            } else {
-                attained_total as f64 / offered_total as f64
-            },
+            slo_attainment: attainment(attained_total, offered_total),
             chaos,
         }
     }

@@ -581,7 +581,7 @@ impl ShardedRunState<'_> {
     /// it. At the healthy rate of 1 the division is an exact IEEE
     /// identity, so the fault-free path is bit-for-bit the old
     /// raw-backlog admission test.
-    fn max_effective_backlog_us(&self, _now: f64) -> f64 {
+    fn max_effective_backlog_us(&self) -> f64 {
         let mitigated = self.rt.resilience.ladder.is_some();
         let mut worst = 0.0f64;
         for ex in &self.executors[..self.num_shards()] {
@@ -613,7 +613,7 @@ impl ShardedRunState<'_> {
         // sample (historical behavior, bit-identical — the tracker is
         // never touched) or a leaky-bucket fold of it, so sub-millisecond
         // backlog spikes can't flip rungs.
-        let raw = self.max_effective_backlog_us(now);
+        let raw = self.max_effective_backlog_us();
         let graded = self.pressure.observe(now, raw, ladder.pressure);
         ladder.level(graded)
     }
@@ -634,7 +634,7 @@ impl ShardedRunState<'_> {
         // while a fault is active is capacity loss, not traffic — record
         // the reason so chaos reports can tell them apart.
         if sheds_at_admission(&rt.config, deadlines, ri, arrival_us, || {
-            self.max_effective_backlog_us(now)
+            self.max_effective_backlog_us()
         }) {
             let reason = if rt.resilience.plan.any_active(now) {
                 ShedReason::Fault
