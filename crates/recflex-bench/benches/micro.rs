@@ -6,7 +6,9 @@
 //! * `tuning/local_stage_one_feature` — the unit cost behind the
 //!   `O(F·K + K)` tuning complexity argument;
 //! * simulator primitives (occupancy calculation, block scheduling,
-//!   fused-kernel launch) that bound how fast experiments replay.
+//!   fused-kernel launch) that bound how fast experiments replay;
+//! * functional pooling, scalar reference against the fused executor's
+//!   vectorized loop.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -134,6 +136,20 @@ fn bench_functional_exec(c: &mut Criterion) {
                 &m, &tables, &batch,
             ))
         })
+    });
+    // The same pooling through the fused kernel's executor, which runs the
+    // widest vector build of the loop the host supports; the ratio to the
+    // scalar reference above is the vectorization gain.
+    let schedules: Vec<_> = m
+        .features
+        .iter()
+        .enumerate()
+        .map(|(i, f)| enumerate_candidates(i, f).unwrap().candidates[0])
+        .collect();
+    let obj = FusedKernelObject::compile(FusedSpec::new(schedules));
+    let bound = obj.bind(&m, &tables, &batch);
+    c.bench_function("exec/fused_execute_50f_128b", |b| {
+        b.iter(|| black_box(bound.execute()))
     });
 }
 

@@ -120,7 +120,19 @@ impl FusedKernelObject {
         tables: &'a TableSet,
         batch: &'a Batch,
     ) -> BoundFusedKernel<'a> {
-        let workloads = analyze_batch(model, batch);
+        self.bind_analyzed(model, tables, batch, analyze_batch(model, batch))
+    }
+
+    /// [`bind`](Self::bind) with the host-side analysis already done:
+    /// `workloads` is `analyze_batch(model, batch)`, kept by a caller that
+    /// binds the same batch many times (the tuner's history).
+    pub fn bind_analyzed<'a>(
+        &'a self,
+        model: &'a ModelConfig,
+        tables: &'a TableSet,
+        batch: &'a Batch,
+        workloads: Vec<FeatureWorkload>,
+    ) -> BoundFusedKernel<'a> {
         let task_map = TaskMap::runtime(&self.spec.schedules, &workloads);
         BoundFusedKernel {
             obj: self,
@@ -150,15 +162,7 @@ impl FusedKernelObject {
                 w.with_uvm_cold_frac(cold)
             })
             .collect();
-        let task_map = TaskMap::runtime(&self.spec.schedules, &workloads);
-        BoundFusedKernel {
-            obj: self,
-            model,
-            tables,
-            batch,
-            workloads,
-            task_map,
-        }
+        self.bind_analyzed(model, tables, batch, workloads)
     }
 
     /// Bind with a **static** mapping computed from historical workloads

@@ -59,15 +59,42 @@ impl FeatureBatch {
             .unwrap_or(0)
     }
 
-    /// Count of distinct rows touched (sort-based, exact).
+    /// Count of distinct rows touched (exact): one pass through a
+    /// linear-probing set with at least twice as many slots as lookups.
     pub fn unique_rows(&self) -> u32 {
-        if self.indices.is_empty() {
+        // `u32::MAX` marks an empty slot, so that row is counted aside.
+        const EMPTY: u32 = u32::MAX;
+        let n = self.indices.len();
+        if n == 0 {
             return 0;
         }
-        let mut v = self.indices.clone();
-        v.sort_unstable();
-        v.dedup();
-        v.len() as u32
+        let bits = (2 * n).next_power_of_two().trailing_zeros();
+        let mask = (1usize << bits) - 1;
+        let mut slots = vec![EMPTY; mask + 1];
+        let mut distinct = 0u32;
+        let mut saw_empty_marker = false;
+        for &row in &self.indices {
+            if row == EMPTY {
+                saw_empty_marker = true;
+                continue;
+            }
+            // Fibonacci hashing: the top `bits` bits of the product.
+            let mut i =
+                (u64::from(row).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+            loop {
+                let slot = &mut slots[i];
+                if *slot == row {
+                    break;
+                }
+                if *slot == EMPTY {
+                    *slot = row;
+                    distinct += 1;
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        distinct + u32::from(saw_empty_marker)
     }
 
     /// Validate CSR invariants against a table size; used by tests and the
@@ -504,6 +531,59 @@ mod split_merge_props {
             for chunk in batch.split(cap).unwrap() {
                 prop_assert!(chunk.validate(&model).is_ok());
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod unique_rows_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn csr(indices: Vec<u32>) -> FeatureBatch {
+        FeatureBatch {
+            offsets: vec![0, indices.len() as u32],
+            indices,
+        }
+    }
+
+    fn sorted_distinct(indices: &[u32]) -> u32 {
+        let mut v = indices.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        v.len() as u32
+    }
+
+    #[test]
+    fn edge_cases_count_exactly() {
+        assert_eq!(csr(vec![]).unique_rows(), 0);
+        assert_eq!(csr(vec![5; 1000]).unique_rows(), 1);
+        assert_eq!(csr(vec![u32::MAX]).unique_rows(), 1);
+        assert_eq!(csr(vec![u32::MAX; 7]).unique_rows(), 1);
+        assert_eq!(csr(vec![0, u32::MAX, u32::MAX - 1, 0]).unique_rows(), 3);
+    }
+
+    proptest! {
+        #[test]
+        fn matches_sort_dedup(
+            seed in 0u64..1_000_000,
+            len in 0usize..3_000,
+            span_bits in 0u32..=32,
+        ) {
+            // Rows drawn from `2^span_bits` values: few bits → heavy
+            // duplication, many → mostly distinct. The extremes 0,
+            // u32::MAX - 1 and u32::MAX are mixed in.
+            let span = 1u64 << span_bits;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let indices: Vec<u32> = (0..len)
+                .map(|_| match rng.gen_range(0..16u32) {
+                    0 => u32::MAX,
+                    1 => u32::MAX - 1,
+                    2 => 0,
+                    _ => rng.gen_range(0..span) as u32,
+                })
+                .collect();
+            prop_assert_eq!(csr(indices.clone()).unique_rows(), sorted_distinct(&indices));
         }
     }
 }

@@ -9,22 +9,32 @@
 //! real GPU the tree reductions of `SamplePerBlock` would reassociate the
 //! sum; fixing the order here is what makes exact equality testing
 //! possible, and is documented as a deliberate substitution in DESIGN.md.)
+//!
+//! The pooling loop is compiled once per vector ISA (AVX-512, AVX2, plain)
+//! and the widest one the host supports is picked per call. Only the loop
+//! over a row's `dim` elements vectorizes: each output slot still adds its
+//! sample's rows one at a time in CSR order, so every version is
+//! bit-identical to
+//! [`reference_pooled`](recflex_embedding::reference_pooled).
+
+use std::ops::Range;
 
 use crate::template::ScheduleInstance;
 use recflex_data::FeatureBatch;
-use recflex_embedding::{reference_pooled, EmbTable};
+use recflex_embedding::EmbTable;
 
 impl ScheduleInstance {
     /// Execute this schedule's feature over a whole batch: `out` is
     /// `batch × dim`, sample-row-major.
     pub fn execute<T: EmbTable>(&self, table: &T, fb: &FeatureBatch, out: &mut [f32]) {
         debug_assert_eq!(table.dim(), self.emb_dim);
-        reference_pooled(table, fb, out);
+        pool(table, fb, 0..fb.batch_size(), out);
     }
 
-    /// Execute only the samples owned by block `rel_bidx` (used by the
-    /// fused-kernel executor, whose blocks own disjoint sample ranges).
-    /// `out` is still the feature's full `batch × dim` buffer.
+    /// Execute only the samples owned by block `rel_bidx` (blocks own
+    /// disjoint sample ranges, so executing every block of the feature
+    /// equals [`execute`](Self::execute)). `out` is still the feature's
+    /// full `batch × dim` buffer.
     pub fn execute_block<T: EmbTable>(
         &self,
         table: &T,
@@ -32,18 +42,60 @@ impl ScheduleInstance {
         rel_bidx: u32,
         out: &mut [f32],
     ) {
-        let dim = self.emb_dim as usize;
+        debug_assert_eq!(table.dim(), self.emb_dim);
         let batch = fb.batch_size();
         let spb = self.samples_per_block();
         let s0 = rel_bidx.saturating_mul(spb).min(batch);
         let s1 = (s0 + spb).min(batch);
-        for s in s0..s1 {
-            let dst = &mut out[s as usize * dim..(s as usize + 1) * dim];
-            dst.fill(0.0);
-            for &row in fb.sample_indices(s) {
-                for (d, slot) in dst.iter_mut().enumerate() {
-                    *slot += table.value(row, d as u32);
-                }
+        pool(table, fb, s0..s1, out);
+    }
+}
+
+/// Sum-pool samples `samples` of `fb` into their rows of `out`, through the
+/// widest compiled version of [`pool_body`] the host supports.
+fn pool<T: EmbTable>(table: &T, fb: &FeatureBatch, samples: Range<u32>, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+            // SAFETY: the host supports AVX-512F and AVX-512DQ, checked
+            // just above.
+            return unsafe { pool_avx512(table, fb, samples, out) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the host supports AVX2, checked just above.
+            return unsafe { pool_avx2(table, fb, samples, out) };
+        }
+    }
+    pool_body(table, fb, samples, out)
+}
+
+/// [`pool_body`] compiled for AVX-512 (`vpmullq` covers the 64-bit
+/// multiplies of the virtual table's hash).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn pool_avx512<T: EmbTable>(table: &T, fb: &FeatureBatch, samples: Range<u32>, out: &mut [f32]) {
+    pool_body(table, fb, samples, out)
+}
+
+/// [`pool_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pool_avx2<T: EmbTable>(table: &T, fb: &FeatureBatch, samples: Range<u32>, out: &mut [f32]) {
+    pool_body(table, fb, samples, out)
+}
+
+/// The pooling loop: zero each sample's output row, then add its looked-up
+/// rows in CSR order. Inlined into each ISA wrapper so `table.value`
+/// inlines with it and the `d` loop vectorizes for that ISA.
+#[inline(always)]
+fn pool_body<T: EmbTable>(table: &T, fb: &FeatureBatch, samples: Range<u32>, out: &mut [f32]) {
+    let dim = table.dim() as usize;
+    for s in samples {
+        let dst = &mut out[s as usize * dim..(s as usize + 1) * dim];
+        dst.fill(0.0);
+        for &row in fb.sample_indices(s) {
+            for (d, slot) in dst.iter_mut().enumerate() {
+                *slot += table.value(row, d as u32);
             }
         }
     }
@@ -53,8 +105,11 @@ impl ScheduleInstance {
 mod tests {
     use super::*;
     use crate::template::{ScheduleKind, ScheduleParams};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use recflex_data::{FeatureSpec, PoolingDist};
-    use recflex_embedding::{FeatureWorkload, VirtualTable};
+    use recflex_embedding::{reference_pooled, DenseTable, FeatureWorkload, VirtualTable};
 
     fn spec(dim: u32) -> FeatureSpec {
         FeatureSpec {
@@ -138,5 +193,98 @@ mod tests {
         let mut out = vec![3.0; 16 * dim as usize];
         sched.execute_block(&table, &fb, 999, &mut out);
         assert!(out.iter().all(|&x| x == 3.0));
+    }
+
+    /// A random CSR over `rows` table rows: empty samples, repeated rows
+    /// within a sample and the last row `rows - 1` all occur.
+    fn random_csr(rng: &mut StdRng, rows: u32) -> FeatureBatch {
+        let batch = rng.gen_range(0..24u32);
+        let mut offsets = vec![0u32];
+        let mut indices: Vec<u32> = Vec::new();
+        for _ in 0..batch {
+            let pf = if rng.gen_range(0..4u32) == 0 {
+                0
+            } else {
+                rng.gen_range(1..12u32)
+            };
+            for _ in 0..pf {
+                let row = match rng.gen_range(0..4u32) {
+                    0 => rows - 1,
+                    1 if !indices.is_empty() => indices[rng.gen_range(0..indices.len())],
+                    _ => rng.gen_range(0..rows),
+                };
+                indices.push(row);
+            }
+            offsets.push(indices.len() as u32);
+        }
+        FeatureBatch { offsets, indices }
+    }
+
+    /// Pool `fb` with the plain body and with every ISA wrapper this host
+    /// supports; each must equal the scalar reference bit for bit.
+    fn assert_every_version_matches<T: EmbTable>(table: &T, fb: &FeatureBatch, case: &str) {
+        let n = fb.batch_size() as usize * table.dim() as usize;
+        let all = 0..fb.batch_size();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut golden = vec![0.0; n];
+        reference_pooled(table, fb, &mut golden);
+        let mut versions = Vec::new();
+        let mut out = vec![f32::NAN; n];
+        pool_body(table, fb, all.clone(), &mut out);
+        versions.push(("plain", out));
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                let mut out = vec![f32::NAN; n];
+                // SAFETY: the host supports AVX2, checked just above.
+                unsafe { pool_avx2(table, fb, all.clone(), &mut out) };
+                versions.push(("avx2", out));
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                let mut out = vec![f32::NAN; n];
+                // SAFETY: the host supports AVX-512F and AVX-512DQ, checked
+                // just above.
+                unsafe { pool_avx512(table, fb, all.clone(), &mut out) };
+                versions.push(("avx512", out));
+            }
+        }
+        for (isa, out) in versions {
+            assert_eq!(bits(&out), bits(&golden), "{isa} diverged: {case}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn every_isa_matches_reference_on_virtual_tables(
+            seed in 0u64..1_000_000,
+            dim in 1u32..=130,
+            rows in 1u32..300,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fb = random_csr(&mut rng, rows);
+            let table = VirtualTable::new(seed, rows, dim);
+            assert_every_version_matches(&table, &fb, &format!("seed {seed} dim {dim}"));
+        }
+
+        #[test]
+        fn every_isa_matches_reference_on_order_sensitive_tables(
+            seed in 0u64..1_000_000,
+            dim in 1u32..=130,
+            rows in 1u32..64,
+        ) {
+            // Values mixing ±1e7 with small numbers, -0.0 and subnormals,
+            // where the order of a sample's row sum shows in the result
+            // bits.
+            const PALETTE: [f32; 10] = [
+                1e7, -1e7, 1.0, 2.0, -3.0, 0.5, -0.0, 1e-45, -1e-40, 1.17e-38,
+            ];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fb = random_csr(&mut rng, rows);
+            let data = (0..rows * dim)
+                .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())])
+                .collect();
+            let table = DenseTable::new(data, rows, dim);
+            assert_every_version_matches(&table, &fb, &format!("seed {seed} dim {dim}"));
+        }
     }
 }
