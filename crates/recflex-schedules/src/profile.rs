@@ -174,6 +174,7 @@ impl ScheduleInstance {
         let mut s = s0;
         let mut warps = 0u32;
         let mut block_max_pf = 0u32;
+        let mut block_rows = 0u64;
         let mut critical = 0u64;
         while s < s1 {
             let e = (s + spw).min(s1);
@@ -185,6 +186,7 @@ impl ScheduleInstance {
                 sum_pf += pf;
             }
             block_max_pf = block_max_pf.max(max_pf as u32);
+            block_rows += sum_pf;
             let warp_iters = max_pf * chunks;
             // This warp's dependent-load chain: one load per iteration.
             critical = critical.max(warp_iters);
@@ -215,7 +217,7 @@ impl ScheduleInstance {
         p.unique_bytes = (p.bytes_accessed as f64 * unique_frac) as u64 + 64;
         p.bytes_accessed += 64;
         p.issue_cycles += 20.0;
-        p.flops = (s0..s1).map(|si| fb.pooling_factor(si) as u64).sum::<u64>() * dim as u64;
+        p.flops = block_rows * dim as u64;
         // Pooling loads are independent gathers; a warp keeps several in
         // flight, bounded by its scoreboard/MSHR share. Unrolling and
         // vectorization raise the sustainable depth.

@@ -37,6 +37,14 @@ pub trait SimKernel: Sync {
 
     /// Analytic demands of block `block_idx` under `ctx`.
     fn profile_block(&self, block_idx: u32, ctx: &ProfileCtx) -> BlockProfile;
+
+    /// A trailing run of identical blocks: `Some((n, p))` promises that
+    /// the last `n ≤ grid_blocks()` blocks all profile to `p` under `ctx`,
+    /// so [`block_times`](crate::launch::block_times) need not profile or
+    /// time them. `None` (the default) promises nothing.
+    fn uniform_tail(&self, _ctx: &ProfileCtx) -> Option<(u32, BlockProfile)> {
+        None
+    }
 }
 
 /// Blanket impl so `&K` and boxed kernels launch transparently.
@@ -53,6 +61,9 @@ impl<K: SimKernel + ?Sized> SimKernel for &K {
     fn profile_block(&self, block_idx: u32, ctx: &ProfileCtx) -> BlockProfile {
         (**self).profile_block(block_idx, ctx)
     }
+    fn uniform_tail(&self, ctx: &ProfileCtx) -> Option<(u32, BlockProfile)> {
+        (**self).uniform_tail(ctx)
+    }
 }
 
 impl<K: SimKernel + ?Sized> SimKernel for Box<K> {
@@ -67,6 +78,9 @@ impl<K: SimKernel + ?Sized> SimKernel for Box<K> {
     }
     fn profile_block(&self, block_idx: u32, ctx: &ProfileCtx) -> BlockProfile {
         (**self).profile_block(block_idx, ctx)
+    }
+    fn uniform_tail(&self, ctx: &ProfileCtx) -> Option<(u32, BlockProfile)> {
+        (**self).uniform_tail(ctx)
     }
 }
 

@@ -23,6 +23,10 @@
 //! resident warps raise the sustainable bandwidth and hide latency, but
 //! cannot help chains or saturated DRAM, and forcing residency up via
 //! register capping adds spill traffic.
+//!
+//! [`block_times`] stops after the per-block times and skips a kernel's
+//! [uniform tail](SimKernel::uniform_tail), for callers such as the
+//! tuner's local stage that read nothing else.
 
 use rayon::prelude::*;
 
@@ -30,7 +34,7 @@ use crate::arch::GpuArch;
 use crate::kernel::{ProfileCtx, SimKernel};
 use crate::memory::MemorySystem;
 use crate::metrics::KernelMetrics;
-use crate::occupancy::{control_occupancy, occupancy, Occupancy};
+use crate::occupancy::{control_occupancy, occupancy, BlockResources, Occupancy};
 use crate::profile::BlockProfile;
 
 /// Launch-time options.
@@ -176,21 +180,11 @@ pub fn launch<K: SimKernel>(
         return Err(LaunchError::EmptyGrid);
     }
 
-    let natural_res = kernel.resources();
-    let (res, blocks_per_sm, reg_cap) = match cfg.occupancy_target {
-        Some(target) => {
-            let ctl =
-                control_occupancy(&natural_res, arch, target).ok_or(LaunchError::Unlaunchable)?;
-            (ctl.resources, ctl.blocks_per_sm, ctl.reg_cap)
-        }
-        None => {
-            let occ = occupancy(&natural_res, arch);
-            if occ.blocks_per_sm == 0 {
-                return Err(LaunchError::Unlaunchable);
-            }
-            (natural_res, occ.blocks_per_sm, None)
-        }
-    };
+    let Residency {
+        res,
+        blocks_per_sm,
+        reg_cap,
+    } = resolve_residency(kernel, arch, cfg)?;
     let warps_per_block = res.warps_per_block(arch.warp_size);
     let occ = Occupancy {
         blocks_per_sm,
@@ -199,11 +193,6 @@ pub fn launch<K: SimKernel>(
     };
 
     let ctx = ProfileCtx { reg_cap };
-    let issue_mult = if cfg.issue_multiplier > 0.0 {
-        cfg.issue_multiplier
-    } else {
-        1.0
-    };
 
     // Phase 1: profile all blocks in parallel (pure, deterministic).
     let profiles: Vec<BlockProfile> = (0..grid)
@@ -214,66 +203,27 @@ pub fn launch<K: SimKernel>(
     // Phase 2: grid-level memory behaviour.
     let total_bytes: u64 = profiles.iter().map(|p| p.bytes_accessed).sum();
     let unique_bytes: u64 = profiles.iter().map(|p| p.unique_bytes).sum();
-    let mem = MemorySystem::from_traffic(arch, total_bytes, unique_bytes, cfg.extra_l2_pressure);
+    let env = BlockEnv::new(arch, cfg, grid, blocks_per_sm, total_bytes, unique_bytes);
+    let BlockEnv {
+        mem,
+        b_eff,
+        issue_mult,
+        dram_rate,
+        l2_rate,
+        ..
+    } = env;
 
     // Phase 3: block times under the launch environment.
-    let b_eff = (blocks_per_sm as f64)
-        .min((grid as f64 / arch.num_sms as f64).ceil())
-        .max(1.0);
-    let dram_rate = arch.dram_bytes_per_sm_cycle();
-    let l2_rate = arch.l2_bytes_per_sm_cycle();
-
     let mut mem_bound_cycles = 0.0f64;
     let mut block_times = Vec::with_capacity(grid as usize);
     let mut block_solo_times = Vec::with_capacity(grid as usize);
     let mut straggler = 0.0f64;
     for p in &profiles {
-        let aw = p.active_warps.max(1) as f64;
-        let mlp = p.mlp.max(1.0);
-        // The block retires with its slowest warp: prefer the explicit
-        // critical chain; fall back to the uniform average for kernels
-        // that do not report one.
-        let chain = if p.critical_mem_chain > 0 {
-            p.critical_mem_chain as f64
-        } else {
-            p.mem_transactions as f64 / aw
-        };
-        // Little's law per block: its warps sustain `aw × mlp` requests in
-        // flight, so its memory work cannot drain faster than that supply,
-        // and never faster than its slowest warp's chain.
-        let t_lat = chain.max(p.mem_transactions as f64 / aw) * mem.avg_latency / mlp;
-        // UVM misses: high-latency host accesses, hidden by the same
-        // warp-level parallelism but with a far longer round trip.
-        let t_uvm = (p.uvm_transactions as f64 / aw) * arch.uvm_latency / mlp;
-        let dram_b = mem.dram_bytes(p);
-        let l2_b = mem.l2_bytes(p);
-        let barrier_cost = p.barriers as f64 * arch.barrier_cycles;
-
-        // Steady-state time: the block shares its SM with `b_eff`
-        // co-residents (the contention environment the tuner must rank
-        // schedules under — these are the `l_b` of Equations 2/3).
-        let t_issue = p.issue_cycles * issue_mult * b_eff / arch.warp_schedulers as f64;
-        let t_lsu = p.mem_transactions as f64 * b_eff / arch.lsu_per_sm;
-        let t_dram = dram_b * b_eff / dram_rate;
-        let t_l2 = l2_b * b_eff / l2_rate;
-        let t_mem = t_lsu.max(t_dram).max(t_l2);
-        let l_b = t_issue.max(t_mem).max(t_lat).max(t_uvm) + barrier_cost;
-        mem_bound_cycles += t_mem;
-        block_times.push(l_b);
-
-        // Solo time: the same block with the machine to itself — how fast
-        // a straggler drains once its co-residents have retired. DRAM and
-        // issue bandwidth are fluid across the chip, so the kernel can
-        // never finish before its longest solo block.
-        let t_solo = (p.issue_cycles * issue_mult / arch.warp_schedulers as f64)
-            .max(p.mem_transactions as f64 / arch.lsu_per_sm)
-            .max(dram_b / dram_rate)
-            .max(l2_b / l2_rate)
-            .max(t_lat)
-            .max(t_uvm)
-            + barrier_cost;
-        block_solo_times.push(t_solo);
-        straggler = straggler.max(t_solo);
+        let t = env.time(p);
+        mem_bound_cycles += t.mem;
+        block_times.push(t.steady);
+        block_solo_times.push(t.solo);
+        straggler = straggler.max(t.solo);
     }
 
     // Phase 4: kernel time = the maximum of all lower bounds.
@@ -405,6 +355,204 @@ pub fn launch<K: SimKernel>(
         metrics,
         bounds,
     })
+}
+
+/// Steady-state and solo times of the blocks in front of a kernel's
+/// [uniform tail](SimKernel::uniform_tail), in grid order — exactly the
+/// matching prefixes of [`LaunchReport::block_times`] and
+/// [`LaunchReport::block_solo_times`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockTimes {
+    /// Per-block steady-state execution times in cycles.
+    pub steady: Vec<f64>,
+    /// Per-block solo times in cycles.
+    pub solo: Vec<f64>,
+}
+
+/// The block times of a launch of `kernel` on `arch` under `cfg`, for the
+/// blocks in front of its [uniform tail](SimKernel::uniform_tail) only.
+///
+/// Bit-identical to the same prefix of [`launch`]'s block times, and
+/// failing with the same [`LaunchError`]: the tail enters only through the
+/// grid size and its integer byte totals, and nothing past block times
+/// (makespan, bounds, metrics) is computed. Blocks are profiled on the
+/// calling thread, so callers can parallelize over launches instead.
+pub fn block_times<K: SimKernel>(
+    kernel: &K,
+    arch: &GpuArch,
+    cfg: &LaunchConfig,
+) -> Result<BlockTimes, LaunchError> {
+    let grid = kernel.grid_blocks();
+    if grid == 0 {
+        return Err(LaunchError::EmptyGrid);
+    }
+    let residency = resolve_residency(kernel, arch, cfg)?;
+    let ctx = ProfileCtx {
+        reg_cap: residency.reg_cap,
+    };
+    let (tail_blocks, tail_bytes, tail_unique) = match kernel.uniform_tail(&ctx) {
+        Some((n, p)) => (n, n as u64 * p.bytes_accessed, n as u64 * p.unique_bytes),
+        None => (0, 0, 0),
+    };
+    let live = grid
+        .checked_sub(tail_blocks)
+        .expect("a kernel's uniform tail lies within its grid");
+    // Phases 1–3 of `launch`, with the tail's byte totals as products.
+    let profiles: Vec<BlockProfile> = (0..live).map(|b| kernel.profile_block(b, &ctx)).collect();
+    let total_bytes = profiles.iter().map(|p| p.bytes_accessed).sum::<u64>() + tail_bytes;
+    let unique_bytes = profiles.iter().map(|p| p.unique_bytes).sum::<u64>() + tail_unique;
+    let env = BlockEnv::new(
+        arch,
+        cfg,
+        grid,
+        residency.blocks_per_sm,
+        total_bytes,
+        unique_bytes,
+    );
+    let (steady, solo) = profiles
+        .iter()
+        .map(|p| {
+            let t = env.time(p);
+            (t.steady, t.solo)
+        })
+        .unzip();
+    Ok(BlockTimes { steady, solo })
+}
+
+/// Residency a launch resolves to under its occupancy policy.
+struct Residency {
+    res: BlockResources,
+    blocks_per_sm: u32,
+    reg_cap: Option<u32>,
+}
+
+fn resolve_residency<K: SimKernel>(
+    kernel: &K,
+    arch: &GpuArch,
+    cfg: &LaunchConfig,
+) -> Result<Residency, LaunchError> {
+    let natural_res = kernel.resources();
+    match cfg.occupancy_target {
+        Some(target) => {
+            let ctl =
+                control_occupancy(&natural_res, arch, target).ok_or(LaunchError::Unlaunchable)?;
+            Ok(Residency {
+                res: ctl.resources,
+                blocks_per_sm: ctl.blocks_per_sm,
+                reg_cap: ctl.reg_cap,
+            })
+        }
+        None => {
+            let occ = occupancy(&natural_res, arch);
+            if occ.blocks_per_sm == 0 {
+                return Err(LaunchError::Unlaunchable);
+            }
+            Ok(Residency {
+                res: natural_res,
+                blocks_per_sm: occ.blocks_per_sm,
+                reg_cap: None,
+            })
+        }
+    }
+}
+
+/// The launch environment every block of one grid is timed in.
+struct BlockEnv<'a> {
+    arch: &'a GpuArch,
+    mem: MemorySystem,
+    b_eff: f64,
+    issue_mult: f64,
+    dram_rate: f64,
+    l2_rate: f64,
+}
+
+/// One block's times under a [`BlockEnv`].
+struct BlockTime {
+    /// `l_b`: the block sharing its SM with `b_eff` co-residents.
+    steady: f64,
+    /// The block with the machine to itself.
+    solo: f64,
+    /// The memory part of `steady` (before latency and barriers).
+    mem: f64,
+}
+
+impl<'a> BlockEnv<'a> {
+    /// Environment of a `grid`-block launch at `blocks_per_sm` whose blocks
+    /// request `total_bytes`, `unique_bytes` of them distinct.
+    fn new(
+        arch: &'a GpuArch,
+        cfg: &LaunchConfig,
+        grid: u32,
+        blocks_per_sm: u32,
+        total_bytes: u64,
+        unique_bytes: u64,
+    ) -> Self {
+        BlockEnv {
+            arch,
+            mem: MemorySystem::from_traffic(arch, total_bytes, unique_bytes, cfg.extra_l2_pressure),
+            b_eff: (blocks_per_sm as f64)
+                .min((grid as f64 / arch.num_sms as f64).ceil())
+                .max(1.0),
+            issue_mult: if cfg.issue_multiplier > 0.0 {
+                cfg.issue_multiplier
+            } else {
+                1.0
+            },
+            dram_rate: arch.dram_bytes_per_sm_cycle(),
+            l2_rate: arch.l2_bytes_per_sm_cycle(),
+        }
+    }
+
+    fn time(&self, p: &BlockProfile) -> BlockTime {
+        let (arch, mem, b_eff) = (self.arch, &self.mem, self.b_eff);
+        let aw = p.active_warps.max(1) as f64;
+        let mlp = p.mlp.max(1.0);
+        // The block retires with its slowest warp: prefer the explicit
+        // critical chain; fall back to the uniform average for kernels
+        // that do not report one.
+        let chain = if p.critical_mem_chain > 0 {
+            p.critical_mem_chain as f64
+        } else {
+            p.mem_transactions as f64 / aw
+        };
+        // Little's law per block: its warps sustain `aw × mlp` requests in
+        // flight, so its memory work cannot drain faster than that supply,
+        // and never faster than its slowest warp's chain.
+        let t_lat = chain.max(p.mem_transactions as f64 / aw) * mem.avg_latency / mlp;
+        // UVM misses: high-latency host accesses, hidden by the same
+        // warp-level parallelism but with a far longer round trip.
+        let t_uvm = (p.uvm_transactions as f64 / aw) * arch.uvm_latency / mlp;
+        let dram_b = mem.dram_bytes(p);
+        let l2_b = mem.l2_bytes(p);
+        let barrier_cost = p.barriers as f64 * arch.barrier_cycles;
+
+        // Steady-state time: the block shares its SM with `b_eff`
+        // co-residents (the contention environment the tuner must rank
+        // schedules under — these are the `l_b` of Equations 2/3).
+        let t_issue = p.issue_cycles * self.issue_mult * b_eff / arch.warp_schedulers as f64;
+        let t_lsu = p.mem_transactions as f64 * b_eff / arch.lsu_per_sm;
+        let t_dram = dram_b * b_eff / self.dram_rate;
+        let t_l2 = l2_b * b_eff / self.l2_rate;
+        let t_mem = t_lsu.max(t_dram).max(t_l2);
+        let steady = t_issue.max(t_mem).max(t_lat).max(t_uvm) + barrier_cost;
+
+        // Solo time: the same block with the machine to itself — how fast
+        // a straggler drains once its co-residents have retired. DRAM and
+        // issue bandwidth are fluid across the chip, so the kernel can
+        // never finish before its longest solo block.
+        let solo = (p.issue_cycles * self.issue_mult / arch.warp_schedulers as f64)
+            .max(p.mem_transactions as f64 / arch.lsu_per_sm)
+            .max(dram_b / self.dram_rate)
+            .max(l2_b / self.l2_rate)
+            .max(t_lat)
+            .max(t_uvm)
+            + barrier_cost;
+        BlockTime {
+            steady,
+            solo,
+            mem: t_mem,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -666,5 +814,204 @@ mod bound_tests {
             "unexpected binding {binding}"
         );
         assert_ne!(binding, "issue");
+    }
+}
+
+#[cfg(test)]
+mod block_times_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Heterogeneous live blocks followed by `tail_blocks` copies of
+    /// `tail`; blocks spill under a register cap like a real schedule's.
+    struct TailedKernel {
+        res: BlockResources,
+        live: Vec<BlockProfile>,
+        tail_blocks: u32,
+        tail: BlockProfile,
+    }
+
+    impl SimKernel for TailedKernel {
+        fn name(&self) -> &str {
+            "tailed"
+        }
+        fn grid_blocks(&self) -> u32 {
+            self.live.len() as u32 + self.tail_blocks
+        }
+        fn resources(&self) -> BlockResources {
+            self.res
+        }
+        fn profile_block(&self, block_idx: u32, ctx: &ProfileCtx) -> BlockProfile {
+            // Live blocks spill a varying number of rounds; the tail's
+            // blocks all spill alike, or it would not be uniform.
+            let (mut p, rounds) = match self.live.get(block_idx as usize) {
+                Some(&p) => (p, 1 + (block_idx % 5) as u64),
+                None => (self.tail, 3),
+            };
+            if let Some(cap) = ctx.reg_cap {
+                if cap < self.res.regs_per_thread {
+                    p.add_spill(
+                        self.res.regs_per_thread - cap,
+                        self.res.threads_per_block,
+                        rounds,
+                    );
+                }
+            }
+            p
+        }
+        fn uniform_tail(&self, ctx: &ProfileCtx) -> Option<(u32, BlockProfile)> {
+            if self.tail_blocks == 0 {
+                return None;
+            }
+            let last = self.grid_blocks() - 1;
+            Some((self.tail_blocks, self.profile_block(last, ctx)))
+        }
+    }
+
+    /// SplitMix64: a tiny deterministic generator for profile fields.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+        fn profile(&mut self) -> BlockProfile {
+            let mem_transactions = self.below(8_000);
+            let bytes_accessed = mem_transactions * 32 + self.below(4_096);
+            let uvm_transactions = if self.below(4) == 0 {
+                self.below(200)
+            } else {
+                0
+            };
+            BlockProfile {
+                issue_cycles: self.below(60_000) as f64 + self.below(1 << 20) as f64 / 7.0,
+                mem_transactions,
+                bytes_accessed,
+                // Occasionally more "unique" bytes than accessed: the
+                // memory model clamps both per block and per grid.
+                unique_bytes: self.below(bytes_accessed + 512),
+                bytes_written: self.below(16_384),
+                active_warps: self.below(9) as u32,
+                thread_active_sum: self.below(1 << 16),
+                thread_useful_sum: self.below(1 << 16),
+                thread_slot_sum: self.below(1 << 16),
+                barriers: self.below(4) as u32,
+                flops: self.below(1 << 16),
+                mlp: self.below(80) as f64 / 9.0,
+                critical_mem_chain: if self.below(3) == 0 {
+                    0
+                } else {
+                    self.below(2_000)
+                },
+                uvm_bytes: uvm_transactions * 32,
+                uvm_transactions,
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `block_times` equals `launch`'s block times over the live prefix,
+    /// bit for bit, and fails exactly when and how `launch` fails.
+    fn assert_matches_launch(k: &TailedKernel, arch: &GpuArch, cfg: &LaunchConfig) {
+        let fast = block_times(k, arch, cfg);
+        match launch(k, arch, cfg) {
+            Err(e) => assert_eq!(fast, Err(e), "{cfg:?}"),
+            Ok(full) => {
+                let fast = fast.expect("launch succeeded");
+                let live = fast.steady.len();
+                assert_eq!(fast.solo.len(), live);
+                assert!(live >= k.live.len() && live <= full.block_times.len());
+                assert_eq!(
+                    bits(&fast.steady),
+                    bits(&full.block_times[..live]),
+                    "{cfg:?}"
+                );
+                assert_eq!(
+                    bits(&fast.solo),
+                    bits(&full.block_solo_times[..live]),
+                    "{cfg:?}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn block_times_match_launch_prefix_bitwise(
+            seed in 0u64..u64::MAX,
+            live in 0u32..160,
+            tail_blocks in 0u32..3_000,
+            threads_pow in 5u32..=10,
+            regs in 16u32..=300,
+            target in 0u32..=24,
+            issue_multiplier in 0.0f64..2.0,
+        ) {
+            let mut g = Gen(seed);
+            let smem = match g.below(4) {
+                0 => g.below(200 * 1024) as u32,
+                1 => g.below(16 * 1024) as u32,
+                _ => 0,
+            };
+            let k = TailedKernel {
+                res: BlockResources::new(1 << threads_pow, regs, smem),
+                live: (0..live).map(|_| g.profile()).collect(),
+                tail_blocks,
+                tail: g.profile(),
+            };
+            let cfg = LaunchConfig {
+                occupancy_target: (target > 0).then_some(target),
+                extra_l2_pressure: if g.below(2) == 0 { 0 } else { g.below(1 << 30) },
+                issue_multiplier,
+            };
+            let arch = if seed % 2 == 0 { GpuArch::v100() } else { GpuArch::a100() };
+            assert_matches_launch(&k, &arch, &cfg);
+        }
+    }
+
+    #[test]
+    fn block_times_match_launch_on_capped_and_failing_launches() {
+        let arch = GpuArch::v100();
+        let mut g = Gen(7);
+        let mut k = TailedKernel {
+            res: BlockResources::new(256, 128, 0),
+            live: (0..40).map(|_| g.profile()).collect(),
+            tail_blocks: 900,
+            tail: g.profile(),
+        };
+        let capped = LaunchConfig {
+            occupancy_target: Some(8),
+            extra_l2_pressure: 64 << 20,
+            issue_multiplier: 1.45,
+        };
+        let ctl = control_occupancy(&k.res, &arch, 8).expect("launchable");
+        assert!(ctl.reg_cap.is_some(), "target 8 must cap registers");
+        assert_matches_launch(&k, &arch, &capped);
+        assert_matches_launch(&k, &arch, &LaunchConfig::default());
+
+        // Unlaunchable, with and without an occupancy target.
+        k.res = BlockResources::new(128, 40, 999_999);
+        assert_eq!(
+            block_times(&k, &arch, &LaunchConfig::default()),
+            Err(LaunchError::Unlaunchable)
+        );
+        assert_matches_launch(&k, &arch, &LaunchConfig::default());
+        assert_matches_launch(&k, &arch, &capped);
+
+        // Empty grid wins over an unlaunchable shape, on both paths.
+        k.live.clear();
+        k.tail_blocks = 0;
+        assert_eq!(block_times(&k, &arch, &capped), Err(LaunchError::EmptyGrid));
+        assert_matches_launch(&k, &arch, &capped);
+        assert_matches_launch(&k, &arch, &LaunchConfig::default());
     }
 }

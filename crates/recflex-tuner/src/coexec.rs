@@ -137,14 +137,15 @@ impl SimKernel for CoExecKernel<'_> {
         if block_idx >= self.work_blocks() {
             return self.pad_profile;
         }
-        // Segments are few (tens); linear scan is branch-predictor friendly.
-        for (i, seg) in self.segments.iter().enumerate() {
-            if seg.contains(&block_idx) {
-                let rel = block_idx - seg.start;
-                return self.candidates[i].block_profile(self.fb, self.workload, rel, ctx.reg_cap);
-            }
-        }
-        unreachable!("block {block_idx} outside all segments")
+        // Segments tile `0..work_blocks()` in order: the first one ending
+        // past the block holds it.
+        let i = self.segments.partition_point(|seg| seg.end <= block_idx);
+        let rel = block_idx - self.segments[i].start;
+        self.candidates[i].block_profile(self.fb, self.workload, rel, ctx.reg_cap)
+    }
+
+    fn uniform_tail(&self, _ctx: &ProfileCtx) -> Option<(u32, BlockProfile)> {
+        Some((self.pad_blocks, self.pad_profile))
     }
 }
 
